@@ -39,6 +39,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -56,12 +57,12 @@ from ..parallel.perf_model import BatchBreakdown
 from ..parallel.pipeline import PipelineTrace
 from ..parallel.placement import PlacementResult, place_replicas
 from ..parallel.scenarios import resolve_fidelity, simulate_hetero_pipeline
-from ..autotune.cache import GLOBAL_CACHE, EvaluationCache, evaluation_cache_key
+from ..autotune.cache import GLOBAL_CACHE, EvaluationCache, cache_key_prefix
 from ..autotune.config import CandidateConfig
 from ..autotune.estimator import CostEstimator, Evaluation, make_estimator
 from ..autotune.result import PlanResult
-from ..autotune.space import SearchSpace
-from ..obs import OBS, MetricsRegistry, Tracer, observed, write_chrome_trace
+from ..autotune.space import CandidateMemo, SearchSpace
+from ..obs import OBS, MetricsRegistry, Tracer, write_chrome_trace
 from ..reporting.tables import format_bytes, render_table
 from .job import Job
 from .machine import Machine
@@ -235,8 +236,8 @@ class Session:
     identity.
 
     Every session also owns a :class:`~repro.obs.MetricsRegistry`: each
-    operation runs under :func:`repro.obs.observed` with the session's
-    registry installed, so :meth:`metrics` answers cache hit-rates,
+    operation runs with the session's registry installed in
+    :data:`repro.obs.OBS`, so :meth:`metrics` answers cache hit-rates,
     per-fidelity call counts and wall-time latency histograms without
     any opt-in. Span tracing *is* opt-in — pass ``trace_to="out.json"``
     and every operation's virtual-time schedule (stages, links,
@@ -262,6 +263,12 @@ class Session:
         self.trace_to = trace_to
         self.registry = MetricsRegistry()
         self.tracer: Tracer | None = Tracer() if trace_to else None
+        # this Session's ops in flight, and the OBS state the first one
+        # displaced (restored when the last one exits)
+        self._obs_lock = threading.Lock()
+        self._obs_active = 0
+        self._obs_prev: tuple | None = None
+        self._spaces = CandidateMemo()
 
     # -- observability ------------------------------------------------------
     def metrics(self) -> dict:
@@ -279,21 +286,31 @@ class Session:
         Installs the session registry (and tracer, when ``trace_to`` was
         given) into the process-wide :data:`~repro.obs.OBS`, times the
         operation into ``session.op_seconds{op=...}``, and flushes the
-        accumulated spans to ``trace_to`` on exit. Nestable —
-        ``robust_plan`` re-enters through its per-scenario ``plan``
-        calls and the inner exit restores the outer state.
+        accumulated spans to ``trace_to`` on exit. The install stays
+        until the session's last op in flight exits, so concurrent ops
+        (a planning server's requests) never uninstall the registry
+        under one another; nested ops (``robust_plan`` re-entering
+        through ``plan``) count as one more op in flight.
         """
         t0 = time.perf_counter()
-        with observed(tracer=self.tracer, metrics=self.registry):
-            try:
-                yield
-            finally:
-                self.registry.counter("session.ops", {"op": name}).inc()
-                self.registry.histogram("session.op_seconds", {"op": name}).observe(
-                    time.perf_counter() - t0
-                )
-                if self.trace_to and self.tracer is not None:
-                    write_chrome_trace(self.trace_to, self.tracer.spans)
+        with self._obs_lock:
+            if self._obs_active == 0:
+                self._obs_prev = OBS.install(self.tracer, self.registry)
+            self._obs_active += 1
+        try:
+            yield
+        finally:
+            self.registry.counter("session.ops", {"op": name}).inc()
+            self.registry.histogram("session.op_seconds", {"op": name}).observe(
+                time.perf_counter() - t0
+            )
+            if self.trace_to and self.tracer is not None:
+                write_chrome_trace(self.trace_to, self.tracer.spans)
+            with self._obs_lock:
+                self._obs_active -= 1
+                if self._obs_active == 0:
+                    OBS.restore(self._obs_prev)
+                    self._obs_prev = None
 
     # -- shared plumbing ----------------------------------------------------
     def _resolve_spec(self, job: Job, spec: ModelSpec | None) -> ModelSpec:
@@ -696,19 +713,25 @@ class Session:
             explore_no_checkpoint=explore_no_checkpoint,
             cal=self.machine.cal,
         )
-        candidates = list(space.candidates())
+        candidates = self._spaces.candidates(space)
 
+        # every column lists its evaluations in candidate order, whichever
+        # cells the cache already held
         evaluations: dict[str, dict[CandidateConfig, Evaluation]] = {
-            label: {} for label in labels
+            label: dict.fromkeys(candidates) for label in labels
         }
+        prefixes = [
+            cache_key_prefix(
+                self.machine, spec, fidelity, col, job.partition_mode
+            )
+            for col in columns
+        ]
         keys: dict[tuple[CandidateConfig, str], tuple] = {}
         missing: dict[CandidateConfig, set[str]] = {}
         for config in candidates:
-            for label, col in zip(labels, columns):
-                key = evaluation_cache_key(
-                    self.machine, spec, fidelity, config,
-                    scenario=col, partition_mode=job.partition_mode,
-                )
+            config_hash = (config.canonical_hash(),)
+            for label, prefix in zip(labels, prefixes):
+                key = prefix + config_hash
                 keys[(config, label)] = key
                 cached = self.cache.get(key)
                 if cached is not None:
@@ -808,16 +831,12 @@ class Session:
             stats.evaluated = evaluated
             stats.cache_hits = len(candidates) - evaluated
             stats.wall_seconds = wall
-            # hits land during the candidate scan, misses during
-            # back-fill — both in candidate order, exactly like
-            # _evaluate_space, so orderings agree across the two paths
-            ordered = evaluations[label]
             per_scenario[label] = PlanResult(
                 model=spec.name,
                 n_gpus=job.n_gpus,
                 fidelity=fidelity,
                 budget_bytes=self.machine.gpu_memory_bytes,
-                evaluations=list(ordered.values()),
+                evaluations=list(evaluations[label].values()),
                 stats=stats,
             )
         return per_scenario
@@ -923,22 +942,24 @@ class Session:
         Cache keys derive from the frozen Machine identity plus the
         estimator's fidelity label, scenario, and each config's
         canonical hash (:func:`~repro.autotune.cache.evaluation_cache_key`).
+        Evaluations come out in candidate order whichever of them the
+        cache already held, so tied times rank the same way every time.
         """
         t0 = time.perf_counter()
         fidelity = estimator.fidelity
-        candidates = list(space.candidates())
+        candidates = self._spaces.candidates(space)
         stats.candidates = len(candidates)
         stats.pruned_memory = space.stats.pruned_memory
         stats.pruned_branches = space.stats.pruned_branches
 
-        evaluations: dict[CandidateConfig, Evaluation] = {}
+        evaluations: dict[CandidateConfig, Evaluation] = dict.fromkeys(candidates)
         misses: list[tuple[tuple, CandidateConfig]] = []
-        scenario = getattr(estimator, "scenario", None)
+        prefix = cache_key_prefix(
+            self.machine, spec, fidelity,
+            getattr(estimator, "scenario", None), partition_mode,
+        )
         for config in candidates:
-            key = evaluation_cache_key(
-                self.machine, spec, fidelity, config,
-                scenario=scenario, partition_mode=partition_mode,
-            )
+            key = prefix + (config.canonical_hash(),)
             cached = self.cache.get(key)
             if cached is not None:
                 evaluations[config] = cached
@@ -1025,9 +1046,6 @@ class Session:
                     raise
             for key, flight in flights.items():
                 results[key] = flight.result()
-            # hits landed during the candidate scan; misses back-fill here
-            # in candidate order regardless of who priced them, so the
-            # ordering matches the legacy single-owner path exactly
             for key, config in misses:
                 evaluations[config] = results[key]
 

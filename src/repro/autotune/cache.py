@@ -22,6 +22,7 @@ __all__ = [
     "EvaluationCache",
     "GLOBAL_CACHE",
     "spec_signature",
+    "cache_key_prefix",
     "evaluation_cache_key",
     "make_cache_key",
 ]
@@ -33,6 +34,24 @@ def spec_signature(spec: ModelSpec) -> tuple:
     Name alone would alias differently-built specs that share a name.
     """
     return (spec.name, spec.param_count, spec.batch_size, spec.num_layers)
+
+
+def cache_key_prefix(
+    machine,
+    spec: ModelSpec,
+    fidelity: str,
+    scenario=None,
+    partition_mode: str = "flops",
+) -> tuple:
+    """Every part of :func:`evaluation_cache_key` except the config.
+
+    One request prices many configs of one workload, so it builds this
+    prefix once and appends each ``config.canonical_hash()``.
+    """
+    machine_key = (
+        machine.canonical_key() if hasattr(machine, "canonical_key") else machine
+    )
+    return (*spec_signature(spec), machine_key, fidelity, scenario, partition_mode)
 
 
 def evaluation_cache_key(
@@ -57,17 +76,8 @@ def evaluation_cache_key(
     :class:`~repro.api.Job` and separates flops- from time-balanced
     costings.
     """
-    machine_key = (
-        machine.canonical_key() if hasattr(machine, "canonical_key") else machine
-    )
-    return (
-        *spec_signature(spec),
-        machine_key,
-        fidelity,
-        scenario,
-        partition_mode,
-        config.canonical_hash(),
-    )
+    prefix = cache_key_prefix(machine, spec, fidelity, scenario, partition_mode)
+    return (*prefix, config.canonical_hash())
 
 
 def make_cache_key(

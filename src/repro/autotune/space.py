@@ -23,6 +23,8 @@ lower bound. Only plausible candidates reach the estimator.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -30,10 +32,11 @@ from ..cluster.calibration import SUMMIT, SummitCalibration
 from ..models.spec import ModelSpec
 from ..parallel.axonn import FRAMEWORKS
 from ..parallel.partitioner import model_state_bytes
+from .cache import spec_signature
 from .config import FRAMEWORK_MODES, SPARSE_MODES, CandidateConfig
 from .estimator import activation_footprint_bytes
 
-__all__ = ["SearchSpace", "SpaceStats"]
+__all__ = ["SearchSpace", "SpaceStats", "CandidateMemo"]
 
 
 def _divisors(n: int) -> list[int]:
@@ -63,6 +66,11 @@ class SpaceStats:
             "pruned_memory": self.pruned_memory,
             "pruned_branches": self.pruned_branches,
         }
+
+    def add(self, other: "SpaceStats") -> None:
+        self.generated += other.generated
+        self.pruned_memory += other.pruned_memory
+        self.pruned_branches += other.pruned_branches
 
 
 @dataclass
@@ -223,3 +231,52 @@ class SearchSpace:
             * len(_divisors(self.n_gpus))
             * len(self._tensor_degrees("deepspeed-3d"))
         )
+
+
+class CandidateMemo:
+    """Bounded LRU of enumerated search spaces.
+
+    A planning server asks about the same few spaces over and over; each
+    hit returns the configs enumerated the first time, whose
+    ``canonical_hash`` is already memoised, instead of re-walking the
+    grid. The key is every :class:`SearchSpace` input, with the model
+    identified as in evaluation cache keys (:func:`spec_signature`,
+    plus the family and sequence length the enumeration also reads).
+    """
+
+    #: spaces kept; a server's working set of distinct spaces is small,
+    #: and every entry holds a few hundred configs
+    SIZE = 32
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def candidates(self, space: SearchSpace) -> tuple[CandidateConfig, ...]:
+        """``space``'s candidates; ``space.stats`` grows by the
+        enumeration's counts on a hit too, as if it had re-enumerated."""
+        spec = space.spec
+        key = (
+            spec_signature(spec), spec.family, spec.seq_len, space.n_gpus,
+            tuple(space.frameworks), tuple(space.sparsities),
+            tuple(space.microbatch_sizes), space.explore_no_checkpoint,
+            space.max_tensor_parallel, space.cal,
+        )
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is None:
+            total, space.stats = space.stats, SpaceStats()
+            try:
+                configs = tuple(space.candidates())
+            finally:
+                counts, space.stats = space.stats, total
+            entry = (configs, counts)
+            with self._lock:
+                self._entries[key] = entry
+                if len(self._entries) > self.SIZE:
+                    self._entries.popitem(last=False)
+        configs, counts = entry
+        space.stats.add(counts)
+        return configs

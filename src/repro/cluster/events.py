@@ -138,16 +138,5 @@ class SerialResource:
             self.windows.append((start, end, label))
         return start, end
 
-    def book(self, start: float, end: float, label: str = "") -> None:
-        """Record an occupancy window without serializing on it.
-
-        For full-duplex / uncontended use of the underlying medium:
-        keeps the window timeline complete without moving ``free_at``.
-        """
-        if end < start:
-            raise ValueError(f"window ends before it starts ({end} < {start})")
-        if self.windows is not None and end > start:
-            self.windows.append((start, end, label))
-
     def __repr__(self) -> str:
         return f"SerialResource({self.name!r}, free_at={self.free_at:.6f})"

@@ -18,8 +18,9 @@ Three ways to turn it on:
 
 * :func:`enable` / :func:`disable` — process-wide, for scripts;
 * :func:`observed` — a context manager that installs a tracer and/or
-  registry and restores the previous state on exit (nestable; this is
-  what :class:`~repro.api.Session` uses around each operation);
+  registry and restores the previous state on exit (nestable);
+  :class:`~repro.api.Session` installs its own registry around each
+  operation and keeps it installed while any of its operations run;
 * ``Session(trace_to="out.json")`` / ``repro trace --chrome out.json``
   — the high-level wiring.
 """
@@ -125,9 +126,8 @@ def disable() -> None:
 def observed(tracer=None, metrics=None):
     """Install tracer/metrics for the duration of a block, then restore.
 
-    Nestable — ``Session.robust_plan`` wraps per-scenario ``plan`` calls
-    that each install the same session registry; the inner exit restores
-    the outer state, not the global default. Yields the :data:`OBS`
+    Nestable — an inner block's exit restores the outer block's state,
+    not the global default. Yields the :data:`OBS`
     holder so callers can read ``OBS.tracer`` / ``OBS.metrics`` inside.
     """
     prev = OBS.install(tracer, metrics)

@@ -19,11 +19,13 @@ same stage boundary queue behind each other).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
 from math import ceil, floor
 from typing import Sequence
 
-from ..cluster.events import EventLoop, SerialResource
 from ..obs import OBS
 
 __all__ = ["TaskRecord", "PipelineTrace", "simulate_pipeline"]
@@ -42,11 +44,16 @@ class TaskRecord:
 
 @dataclass
 class PipelineTrace:
-    """Result of a pipeline simulation."""
+    """Result of a pipeline simulation.
+
+    The schedule itself is kept as compact rows; :attr:`tasks` and
+    :attr:`link_windows` build their records on first read, so callers
+    that only need the makespan (planner candidates, placement search)
+    never pay for them.
+    """
 
     g_inter: int
     n_microbatches: int
-    tasks: list[TaskRecord] = field(default_factory=list)
     makespan: float = 0.0
     #: per-GPU maximum of concurrently-held forward activations — the
     #: activation-memory proxy (1F1B bounds it at ``g_inter - stage``,
@@ -59,16 +66,32 @@ class PipelineTrace:
     link_times: list[float] = field(default_factory=list)
     #: per-link seconds the link spent occupied (contended runs only)
     link_busy: list[float] = field(default_factory=list)
-    #: per-link recorded ``(start, end, label)`` transfer windows — the
-    #: one source of truth both :meth:`ascii` (``links=True``) and the
-    #: Chrome exporter render from
-    link_windows: list[list[tuple[float, float, str]]] = field(default_factory=list)
     #: data-parallel replicas whose chains were priced to produce this
     #: trace (``simulate_hetero_pipeline`` keeps the slowest replica's
     #: schedule; a bare ``simulate_pipeline`` call is one chain)
     n_replicas: int = 1
     #: index of the replica whose chain this trace belongs to
     slowest_replica: int = 0
+    #: executed tasks as ``(gpu, kind, microbatch, start, end)`` rows in
+    #: completion order
+    task_rows: list[tuple] = field(default_factory=list, repr=False)
+    #: per-link transfer windows as ``(start, end, kind, microbatch)`` rows
+    window_rows: list[list[tuple]] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def tasks(self) -> list[TaskRecord]:
+        """Every executed task, in completion order."""
+        return [TaskRecord(*row) for row in self.task_rows]
+
+    @cached_property
+    def link_windows(self) -> list[list[tuple[float, float, str]]]:
+        """Per-link ``(start, end, label)`` transfer windows — the one
+        source of truth both :meth:`ascii` (``links=True``) and the
+        Chrome exporter render from."""
+        return [
+            [(start, end, f"{kind}{mb}") for start, end, kind, mb in rows]
+            for rows in self.window_rows
+        ]
 
     def gpu_tasks(self, gpu: int) -> list[TaskRecord]:
         return sorted((t for t in self.tasks if t.gpu == gpu), key=lambda t: t.start)
@@ -118,6 +141,11 @@ class PipelineTrace:
                         row[c] = "###"
                 lines.append(f"LNK {i}: " + "".join(row))
         return "\n".join(lines)
+
+
+#: event kinds on the 1F1B kernel's heap, indexing their span names
+_START, _DONE, _ARRIVE, _RELEASE = range(4)
+_EVENT_NAMES = ("start", "compute_done", "arrive", "release")
 
 
 def _per_stage(value: float | Sequence[float], n: int, name: str) -> list[float]:
@@ -188,133 +216,192 @@ def simulate_pipeline(
 
     The default configuration is AxoNN's; the flags exist so the
     scheduling ablation can price each optimization separately.
+
+    The engine is one loop over a heap of plain
+    ``(t, seq, op, stage, microbatch, start, kind)`` tuples: the opening
+    ``start`` at t = 0, a task's compute finishing (``compute_done``), a
+    message arriving (``arrive``) and a blocking send releasing its
+    sender (``release``); after each, the event's stage picks its next
+    task. Ties at equal ``t`` pop in push order (``seq``), so the
+    schedule is deterministic. ``events.processed`` counts the popped
+    events and, when tracing, each one becomes an ``event`` span.
     """
     if g_inter < 1 or n_microbatches < 1:
         raise ValueError("g_inter and n_microbatches must be >= 1")
     t_f = _per_stage(t_f_stage, g_inter, "t_f_stage")
     t_b = _per_stage(t_b_stage, g_inter, "t_b_stage")
     link = _per_stage(msg_time, max(g_inter - 1, 0), "msg_time") if g_inter > 1 else []
-    links = [SerialResource(f"link{i}", record=True) for i in range(g_inter - 1)]
+    n_links = len(link)
+    last = g_inter - 1
+    # a stage may start a forward while it holds fewer than cap[g]; without
+    # the 1F1B bound any waiting forward may start (fewer than m are held)
+    if bound_in_flight:
+        cap = [max(g_inter - g, 1) for g in range(g_inter)]
+    else:
+        cap = [n_microbatches] * g_inter
 
-    loop = EventLoop()
-    trace = PipelineTrace(
-        g_inter=g_inter,
-        n_microbatches=n_microbatches,
-        t_f_stages=t_f,
-        t_b_stages=t_b,
-        link_times=link,
-    )
-
-    fwd_ready: list[list[int]] = [[] for _ in range(g_inter)]
-    bwd_ready: list[list[int]] = [[] for _ in range(g_inter)]
-    arrival_order: list[list[tuple[str, int]]] = [[] for _ in range(g_inter)]
+    # ready work per stage: backward-first keeps one FIFO per kind,
+    # arrival-order service one FIFO of (kind, microbatch) for both
+    fwd_ready = [deque() for _ in range(g_inter)]
+    bwd_ready = [deque() for _ in range(g_inter)]
+    arrivals: list[list[tuple[str, int]]] = [[] for _ in range(g_inter)]
+    # Stage 0 starts with every microbatch available for forward.
+    if prefer_backward:
+        fwd_ready[0].extend(range(n_microbatches))
+    else:
+        arrivals[0] = [("F", mb) for mb in range(n_microbatches)]
     busy = [False] * g_inter
     in_flight = [0] * g_inter  # forwards not yet backwarded on this stage
-
-    # Stage 0 starts with every microbatch available for forward.
-    fwd_ready[0] = list(range(n_microbatches))
-    arrival_order[0] = [("F", mb) for mb in range(n_microbatches)]
-
     peak = [0] * g_inter
+    free_at = [0.0] * n_links
+    link_busy = [0.0] * n_links
+    windows: list[list[tuple]] = [[] for _ in range(n_links)]
+    rows: list[tuple] = []
+    log = [] if OBS.enabled else None
 
-    def _fwd_allowed(g: int) -> bool:
-        if not bound_in_flight:
-            return True
-        return in_flight[g] < max(g_inter - g, 1)
+    # every task finishes once and every message arrives (and, blocking,
+    # releases its sender) once: exceeding this count is a kernel bug
+    n_msgs = 2 * last * n_microbatches
+    budget = 1 + 2 * g_inter * n_microbatches + n_msgs * (2 if blocking_sends else 1)
+    # the opening event asks stage 0 for work at t = 0
+    heap = [(0.0, 0, _START, 0, 0, 0.0, "F")]
+    push, pop = heappush, heappop
+    seq = 1
+    t = 0.0
+    for _ in range(budget):
+        if not heap:
+            break
+        event = pop(heap)
+        t, _seq, op, g, mb, start, kind = event
+        if log is not None:
+            log.append(event)
+        if op == _DONE:
+            if kind == "F":
+                if g < last:
+                    lnk, dest = g, g + 1
+                else:
+                    # last stage: backward starts immediately after forward
+                    lnk = -1
+                    if prefer_backward:
+                        bwd_ready[g].append(mb)
+                    else:
+                        arrivals[g].append(("B", mb))
+            elif g:
+                lnk, dest = g - 1, g - 1
+            else:
+                lnk = -1
+            if lnk >= 0:
+                # Hand the message to the transport. Contended links book a
+                # FIFO window; otherwise the transfer starts immediately
+                # (full-duplex, so the window is recorded without queueing).
+                d = link[lnk]
+                if link_contention:
+                    sent = max(t, free_at[lnk])
+                    arrive = free_at[lnk] = sent + d
+                    link_busy[lnk] += d
+                    if d > 0:
+                        windows[lnk].append((sent, arrive, kind, mb))
+                else:
+                    arrive = t + d
+                    if arrive > t:
+                        windows[lnk].append((t, arrive, kind, mb))
+                push(heap, (arrive, seq, _ARRIVE, dest, mb, 0.0, kind))
+                seq += 1
+                if blocking_sends:
+                    # Synchronous send: the GPU stays occupied (and its task
+                    # record extends) until the transfer completes.
+                    push(heap, (arrive, seq, _RELEASE, g, mb, start, kind))
+                    seq += 1
+                    continue
+            rows.append((g, kind, mb, start, t))
+            busy[g] = False
+            if kind == "B":
+                in_flight[g] -= 1
+        elif op == _ARRIVE:
+            if not prefer_backward:
+                arrivals[g].append((kind, mb))
+            elif kind == "F":
+                fwd_ready[g].append(mb)
+            else:
+                bwd_ready[g].append(mb)
+        elif op == _RELEASE:
+            rows.append((g, kind, mb, start, t))
+            busy[g] = False
+            if kind == "B":
+                in_flight[g] -= 1
 
-    def try_start(g: int) -> None:
+        # stage g looks for its next task
         if busy[g]:
-            return
+            continue
         if prefer_backward:
             if bwd_ready[g]:
-                start_task(g, "B", bwd_ready[g].pop(0))
-            elif fwd_ready[g] and _fwd_allowed(g):
-                start_task(g, "F", fwd_ready[g].pop(0))
+                kind, mb = "B", bwd_ready[g].popleft()
+            elif fwd_ready[g] and in_flight[g] < cap[g]:
+                kind, mb = "F", fwd_ready[g].popleft()
+            else:
+                continue
         else:
             # Arrival-order (FIFO) service; a warmup-blocked forward at the
             # head lets later-arrived work run (no head-of-line deadlock).
-            for i, (kind, mb) in enumerate(arrival_order[g]):
-                if kind == "F" and not _fwd_allowed(g):
+            queue = arrivals[g]
+            if not queue:
+                continue
+            if in_flight[g] < cap[g]:
+                kind, mb = queue.pop(0)
+            else:
+                for i, item in enumerate(queue):
+                    if item[0] == "B":
+                        kind, mb = queue.pop(i)
+                        break
+                else:
                     continue
-                arrival_order[g].pop(i)
-                (fwd_ready if kind == "F" else bwd_ready)[g].remove(mb)
-                start_task(g, kind, mb)
-                return
-
-    def start_task(g: int, kind: str, mb: int) -> None:
         busy[g] = True
-        dur = t_f[g] if kind == "F" else t_b[g]
-        start = loop.now
         if kind == "F":
+            dur = t_f[g]
             in_flight[g] += 1
-            peak[g] = max(peak[g], in_flight[g])
+            if in_flight[g] > peak[g]:
+                peak[g] = in_flight[g]
+        else:
+            dur = t_b[g]
+        push(heap, (t + dur, seq, _DONE, g, mb, t, kind))
+        seq += 1
 
-        def release(end: float) -> None:
-            busy[g] = False
-            trace.tasks.append(TaskRecord(g, kind, mb, start, end))
-            if kind == "B":
-                in_flight[g] -= 1
-            try_start(g)
-
-        def compute_done():
-            now = loop.now
-            if kind == "F":
-                if g + 1 < g_inter:
-                    link_id, arrive = g, (lambda: arrive_fwd(g + 1, mb))
-                else:
-                    # last stage: backward starts immediately after forward
-                    bwd_ready[g].append(mb)
-                    arrival_order[g].append(("B", mb))
-                    release(now)
-                    return
-            else:
-                if g > 0:
-                    link_id, arrive = g - 1, (lambda: arrive_bwd(g - 1, mb))
-                else:
-                    release(now)
-                    return
-            # Hand the message to the transport. Contended links book a
-            # FIFO window; otherwise the transfer starts immediately
-            # (full-duplex, so the window is recorded without queueing).
-            label = f"{kind}{mb}"
-            if link_contention:
-                _, arrival_t = links[link_id].acquire(now, link[link_id], label)
-            else:
-                arrival_t = now + link[link_id]
-                links[link_id].book(now, arrival_t, label)
-            loop.at(arrival_t, arrive)
-            if blocking_sends:
-                # Synchronous send: the GPU stays occupied (and its task
-                # record extends) until the transfer completes.
-                loop.at(arrival_t, lambda: release(loop.now))
-            else:
-                release(now)
-
-        loop.schedule(dur, compute_done)
-
-    def arrive_fwd(g: int, mb: int) -> None:
-        fwd_ready[g].append(mb)
-        arrival_order[g].append(("F", mb))
-        try_start(g)
-
-    def arrive_bwd(g: int, mb: int) -> None:
-        bwd_ready[g].append(mb)
-        arrival_order[g].append(("B", mb))
-        try_start(g)
-
-    loop.schedule(0.0, lambda: try_start(0))
-    trace.makespan = loop.run()
-    trace.peak_in_flight = peak
-    trace.link_busy = [r.busy_time for r in links]
-    trace.link_windows = [r.windows or [] for r in links]
-    if len(trace.tasks) != 2 * g_inter * n_microbatches:
+    OBS.metrics.counter("events.processed").inc(seq - len(heap))
+    if heap:
         raise RuntimeError(
-            f"pipeline deadlock: executed {len(trace.tasks)} of "
+            f"event budget exceeded ({budget}) after processing {budget} events; "
+            f"likely a scheduling loop"
+        )
+    if len(rows) != 2 * g_inter * n_microbatches:
+        raise RuntimeError(
+            f"pipeline deadlock: executed {len(rows)} of "
             f"{2 * g_inter * n_microbatches} tasks"
         )
-    if OBS.enabled:
+    trace = PipelineTrace(
+        g_inter=g_inter,
+        n_microbatches=n_microbatches,
+        makespan=t,
+        peak_in_flight=peak,
+        t_f_stages=t_f,
+        t_b_stages=t_b,
+        link_times=link,
+        link_busy=link_busy,
+        task_rows=rows,
+        window_rows=windows,
+    )
+    if log is not None:
+        _emit_event_spans(log)
         _emit_pipeline_spans(trace)
     return trace
+
+
+def _emit_event_spans(log: list[tuple]) -> None:
+    """One zero-length ``event`` span per processed event, in pop order,
+    named for the event and carrying its heap ``seq``."""
+    tracer = OBS.tracer
+    track = tracer.group("events")
+    for t, seq, op, *_rest in log:
+        tracer.record(_EVENT_NAMES[op], t, t, category="event", track=track, seq=seq)
 
 
 def _emit_pipeline_spans(trace: PipelineTrace) -> None:

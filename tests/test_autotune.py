@@ -15,6 +15,7 @@ from repro.autotune import (
     make_cache_key,
     plan,
 )
+from repro.autotune.space import CandidateMemo
 from repro.cluster.calibration import SUMMIT, with_memory_budget
 from repro.models import get_spec
 from repro.parallel import FRAMEWORKS, StorageMode, choose_g_inter, simulate_batch
@@ -110,6 +111,21 @@ class TestSearchSpace:
     def test_unknown_framework_rejected(self):
         with pytest.raises(ValueError, match="unknown frameworks"):
             SearchSpace(get_spec("gpt3-xl"), 64, frameworks=("megatron",))
+
+    def test_candidate_memo_reuses_equal_spaces_within_its_bound(self):
+        memo = CandidateMemo()
+        spec = get_spec("gpt3-13b")
+        fresh = SearchSpace(spec, 256)
+        expected = list(fresh.candidates())
+        first, again = SearchSpace(spec, 256), SearchSpace(get_spec("gpt3-13b"), 256)
+        configs = memo.candidates(first)
+        assert list(configs) == expected
+        assert memo.candidates(again) is configs  # equal inputs: a hit
+        # a hit reports the enumeration's pruning, like a re-enumeration
+        assert first.stats == again.stats == fresh.stats
+        for n_gpus in range(1, CandidateMemo.SIZE + 1):
+            memo.candidates(SearchSpace(get_spec("gpt3-xl"), n_gpus))
+        assert memo.candidates(SearchSpace(spec, 256)) is not configs  # evicted
 
 
 # ---------------------------------------------------------------------------

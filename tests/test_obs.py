@@ -17,6 +17,7 @@ The contract under test, in order of importance:
 """
 
 import json
+import threading
 
 import pytest
 
@@ -330,6 +331,37 @@ class TestMetricsReconciliation:
         assert snap['session.op_seconds{op="breakdown"}']["count"] == 2
         assert "events.processed" not in snap  # analytic path runs no engine
 
+    def test_overlapping_ops_keep_the_registry_until_the_last_exits(self):
+        # op A enters, op B enters, A returns, then B counts: B's
+        # increment must land on the session registry, not on whatever
+        # was installed before A
+        session = Session(Machine(), cache=EvaluationCache())
+        a_entered, b_entered, a_done = (threading.Event() for _ in range(3))
+
+        def op_a():
+            with session._op("a"):
+                a_entered.set()
+                b_entered.wait(5)
+            a_done.set()
+
+        def op_b():
+            a_entered.wait(5)
+            with session._op("b"):
+                b_entered.set()
+                a_done.wait(5)
+                OBS.metrics.counter("late.increments").inc()
+
+        threads = [threading.Thread(target=op_a), threading.Thread(target=op_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert a_done.is_set()
+        snap = session.metrics()
+        assert snap["late.increments"] == 1
+        assert snap['session.ops{op="a"}'] == snap['session.ops{op="b"}'] == 1
+        assert OBS.metrics is NULL_REGISTRY  # the last exit restored the default
+
     def test_registry_kind_conflict_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
@@ -420,21 +452,17 @@ class TestEventLoopAccounting:
 
 
 class TestRecordedWindows:
-    def test_acquire_and_book_record_labels(self):
+    def test_acquire_records_labels(self):
         r = SerialResource("link", record=True)
         assert r.acquire(0.0, 2.0, "F0") == (0.0, 2.0)
-        r.book(0.5, 1.5, "B0")  # full-duplex window: no queueing
-        assert r.free_at == 2.0  # book did not move the FIFO clock
-        assert r.windows == [(0.0, 2.0, "F0"), (0.5, 1.5, "B0")]
+        assert r.acquire(0.5, 1.0, "B0") == (2.0, 3.0)  # queued behind F0
+        assert r.windows == [(0.0, 2.0, "F0"), (2.0, 3.0, "B0")]
         r.acquire(0.0, 0.0, "zero")  # zero-duration: counted, not recorded
         assert len(r.windows) == 2
-        with pytest.raises(ValueError, match="ends before"):
-            r.book(2.0, 1.0)
 
     def test_unrecorded_resource_keeps_no_windows(self):
         r = SerialResource("link")
         r.acquire(0.0, 1.0, "x")
-        r.book(0.0, 1.0, "y")
         assert r.windows is None
 
     def test_pipeline_trace_surfaces_link_windows(self):
