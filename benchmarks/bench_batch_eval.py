@@ -4,8 +4,8 @@ The ``analytic-batch`` estimator prices the whole candidate grid × scenario
 set as one set of numpy array programs. This bench times the *pricing
 stage* — the part the ISSUE vectorizes — head to head on the paper's
 search spaces: the scalar baseline dispatches ``evaluate`` per cell (per
-scenario column via ``with_scenario``, exactly what ``_evaluate_space``
-did before batch support), the batch path makes ONE ``evaluate_batch``
+scenario column via ``with_scenario``, exactly what the session's search
+loop did before batch support), the batch path makes ONE ``evaluate_batch``
 call. Parity of every cell is pinned separately in
 ``tests/test_batch_eval.py``; here we pin the speedup:
 

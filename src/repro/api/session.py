@@ -36,9 +36,7 @@ the CLI subcommands) remain as thin wrappers over this facade.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -57,9 +55,9 @@ from ..parallel.perf_model import BatchBreakdown
 from ..parallel.pipeline import PipelineTrace
 from ..parallel.placement import PlacementResult, place_replicas
 from ..parallel.scenarios import resolve_fidelity, simulate_hetero_pipeline
-from ..autotune.cache import GLOBAL_CACHE, EvaluationCache, cache_key_prefix
+from ..autotune.cache import GLOBAL_CACHE, Claim, EvaluationCache, cache_key_prefix
 from ..autotune.config import CandidateConfig
-from ..autotune.estimator import CostEstimator, Evaluation, make_estimator
+from ..autotune.estimator import CostEstimator, make_estimator
 from ..autotune.result import PlanResult
 from ..autotune.space import CandidateMemo, SearchSpace
 from ..obs import OBS, MetricsRegistry, Tracer, write_chrome_trace
@@ -249,17 +247,10 @@ class Session:
         self,
         machine: Machine | None = None,
         cache: EvaluationCache | None = None,
-        max_workers: int | None = None,
         trace_to: str | None = None,
     ):
         self.machine = machine if machine is not None else Machine()
         self.cache = GLOBAL_CACHE if cache is None else cache
-        if max_workers is None:
-            max_workers = min(8, (os.cpu_count() or 2))
-        elif max_workers < 1:
-            # 0 used to fall through `max_workers or ...` to the default
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
         self.trace_to = trace_to
         self.registry = MetricsRegistry()
         self.tracer: Tracer | None = Tracer() if trace_to else None
@@ -515,14 +506,11 @@ class Session:
         fidelity, scenario = resolve_fidelity(
             job.fidelity, scenario, overlap=job.overlap, placement=job.placement
         )
-        space = SearchSpace(
-            spec=spec,
-            n_gpus=job.n_gpus,
+        space = self._space(
+            job, spec,
             frameworks=frameworks,
-            sparsities=(job.sparsity,),
             microbatch_sizes=microbatch_sizes,
             explore_no_checkpoint=explore_no_checkpoint,
-            cal=self.machine.cal,
         )
         estimator = make_estimator(
             fidelity,
@@ -533,13 +521,12 @@ class Session:
             overlap=job.overlap,
             placement=job.placement,
         )
-        from ..autotune.search import PlannerStats  # deferred: search wraps the api
-
         with self._op("plan"):
-            return self._evaluate_space(
-                spec, space, estimator, job.n_gpus, PlannerStats(),
-                partition_mode=job.partition_mode,
+            (result,) = self._search(
+                spec, space, estimator, [getattr(estimator, "scenario", None)],
+                job.n_gpus, job.partition_mode,
             )
+            return result
 
     def robust_plan(
         self,
@@ -553,12 +540,12 @@ class Session:
     ) -> RobustPlanResult:
         """Rank configurations by expected cost over a scenario set.
 
-        Runs one :meth:`plan` per scenario in the set — every
-        (config, scenario) evaluation lands in the shared cache, so
-        re-planning the same distribution (or any overlapping one) costs
-        nothing — then aggregates per candidate: probability-weighted
-        expected time and the worst case with its culprit scenario. A
-        neutral-only set reproduces :meth:`plan`'s ranking bit-exactly.
+        Prices every (config, scenario) cell through the shared cache
+        (:meth:`_price_columns`), so re-planning the same distribution
+        (or any overlapping one) costs nothing, then aggregates per
+        candidate: probability-weighted expected time and the worst case
+        with its culprit scenario. A neutral-only set reproduces
+        :meth:`plan`'s ranking bit-exactly.
 
         >>> from repro.api import Job, Machine, Session
         >>> res = Session(Machine.summit()).robust_plan(
@@ -581,51 +568,19 @@ class Session:
             fidelity = "sim" if needs_engine else "analytic"
         job = job.with_(fidelity=fidelity)
 
-        per_scenario: dict[str, PlanResult] = {}
-        with self._op("robust_plan"):
-            try:
-                probe = make_estimator(
-                    fidelity, spec, self.machine.cal,
-                    partition_mode=job.partition_mode,
-                    overlap=job.overlap, placement=job.placement,
-                )
-            except Exception:
-                # contradictions (e.g. analytic + overlap) surface with
-                # their canonical message from the per-scenario loop below
-                probe = None
-            if probe is not None and getattr(probe, "supports_batch", False):
-                per_scenario = self._robust_matrix(
-                    job, spec, list(sset.labels()), list(sset.scenarios), probe,
-                    frameworks=frameworks,
-                    microbatch_sizes=microbatch_sizes,
-                    explore_no_checkpoint=explore_no_checkpoint,
-                )
-            else:
-                for label, (sc, _w) in zip(sset.labels(), sset.items()):
-                    per_scenario[label] = self.plan(
-                        job,
-                        scenario=sc,
-                        frameworks=frameworks,
-                        microbatch_sizes=microbatch_sizes,
-                        explore_no_checkpoint=explore_no_checkpoint,
-                        spec=spec,
-                    )
-
-        entries = []
         labels = list(sset.labels())
-        first = per_scenario[labels[0]]
-        by_config = {
-            label: {e.config: e for e in res.evaluations}
-            for label, res in per_scenario.items()
-        }
-        # one (config, scenario) time matrix; expected/worst reduce as
-        # array ops regardless of which path priced the cells
-        times = np.array(
-            [
-                [by_config[label][ev.config].total_time for label in labels]
-                for ev in first.evaluations
-            ]
-        )
+        with self._op("robust_plan"):
+            per_scenario = self._price_columns(
+                job, spec, labels, list(sset.scenarios),
+                frameworks=frameworks,
+                microbatch_sizes=microbatch_sizes,
+                explore_no_checkpoint=explore_no_checkpoint,
+            )
+
+        # every column lists the same candidates in the same order, so
+        # row r of the (config, scenario) time matrix is candidate r
+        rows = list(zip(*(res.evaluations for res in per_scenario.values())))
+        times = np.array([[ev.total_time for ev in row] for row in rows])
         if len(labels) == 1:
             # exact degeneration: no float round-trip through the dot
             expected_arr = times[:, 0]
@@ -633,23 +588,21 @@ class Session:
             expected_arr = times @ np.asarray(sset.weights)
         # argmax picks the first maximum, like max() over labels in order
         worst_idx = np.argmax(times, axis=1)
-        for r, ev in enumerate(first.evaluations):
-            worst_label = labels[int(worst_idx[r])]
+        entries = []
+        for r, row in enumerate(rows):
             entries.append(
                 RobustEvaluation(
-                    config=ev.config,
+                    config=row[0].config,
                     expected_time=float(expected_arr[r]),
                     worst_time=float(times[r, worst_idx[r]]),
-                    worst_scenario=worst_label,
+                    worst_scenario=labels[int(worst_idx[r])],
                     per_scenario={
                         label: float(times[r, j])
                         for j, label in enumerate(labels)
                     },
-                    memory_bytes=ev.memory_bytes,
-                    feasible=all(
-                        by_config[label][ev.config].feasible for label in labels
-                    ),
-                    batch_size=ev.batch_size,
+                    memory_bytes=row[0].memory_bytes,
+                    feasible=all(ev.feasible for ev in row),
+                    batch_size=row[0].batch_size,
                 )
             )
         return RobustPlanResult(
@@ -673,173 +626,54 @@ class Session:
             },
         )
 
-    def _robust_matrix(
+    def _price_columns(
         self,
         job: Job,
         spec: ModelSpec,
         labels: list,
         columns: list,
-        estimator: CostEstimator,
         *,
         frameworks: tuple,
         microbatch_sizes: tuple,
         explore_no_checkpoint: bool,
     ) -> dict[str, PlanResult]:
-        """Price the full config × scenario matrix in ONE batch call.
+        """One :class:`PlanResult` per scenario column, every column
+        listing the same candidates in the same order.
 
         ``labels``/``columns`` name the scenario columns (a
         :class:`ScenarioSet`'s members for :meth:`robust_plan`, a
         :class:`~repro.stochastic.ScenarioProcess`'s reachable scenarios
-        for :meth:`mc_robust_plan`). The scalar path runs one
-        :meth:`plan` per scenario; a batch-capable estimator prices
-        every cache-missing cell of the whole matrix at once instead,
-        then back-fills only the missing cells into the shared cache
-        (hit cells keep their cached evaluations). Per-label
-        :class:`PlanResult`\\ s come out with the same evaluation
-        ordering and accounting a per-scenario loop would produce, so a
-        neutral-only column list degenerates to :meth:`plan`
-        bit-identically.
+        for :meth:`mc_robust_plan`). A batch-capable fidelity prices the
+        whole candidates × columns matrix as one request
+        (:meth:`_search`); any other fidelity runs one :meth:`plan` per
+        column, each a one-column matrix. A neutral-only column list
+        degenerates to :meth:`plan` bit-identically either way.
         """
-        from ..autotune.search import PlannerStats  # deferred: search wraps the api
-
-        t0 = time.perf_counter()
-        fidelity = estimator.fidelity
-        space = SearchSpace(
-            spec=spec,
-            n_gpus=job.n_gpus,
-            frameworks=frameworks,
-            sparsities=(job.sparsity,),
-            microbatch_sizes=microbatch_sizes,
-            explore_no_checkpoint=explore_no_checkpoint,
-            cal=self.machine.cal,
-        )
-        candidates = self._spaces.candidates(space)
-
-        # every column lists its evaluations in candidate order, whichever
-        # cells the cache already held
-        evaluations: dict[str, dict[CandidateConfig, Evaluation]] = {
-            label: dict.fromkeys(candidates) for label in labels
+        axes = {
+            "frameworks": frameworks,
+            "microbatch_sizes": microbatch_sizes,
+            "explore_no_checkpoint": explore_no_checkpoint,
         }
-        prefixes = [
-            cache_key_prefix(
-                self.machine, spec, fidelity, col, job.partition_mode
+        try:
+            probe = make_estimator(
+                job.fidelity, spec, self.machine.cal,
+                partition_mode=job.partition_mode,
+                overlap=job.overlap, placement=job.placement,
             )
-            for col in columns
-        ]
-        keys: dict[tuple[CandidateConfig, str], tuple] = {}
-        missing: dict[CandidateConfig, set[str]] = {}
-        for config in candidates:
-            config_hash = (config.canonical_hash(),)
-            for label, prefix in zip(labels, prefixes):
-                key = prefix + config_hash
-                keys[(config, label)] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    evaluations[label][config] = cached
-                else:
-                    missing.setdefault(config, set()).add(label)
-
-        metrics = OBS.metrics
-        n_cells = len(candidates) * len(labels)
-        n_misses = sum(len(v) for v in missing.values())
-        metrics.counter("planner.candidates").inc(n_cells)
-        metrics.counter("planner.cache.hits").inc(n_cells - n_misses)
-        metrics.counter("planner.cache.misses").inc(n_misses)
-
-        # single-flight stores coalesce cells another request is already
-        # pricing: we evaluate only the cells we own, then collect the
-        # rest from their owners' flights
-        single_flight = getattr(self.cache, "supports_single_flight", False)
-        flights: dict = {}
-        missing_owned = missing
-        if missing and single_flight:
-            flat = [
-                keys[(config, label)]
-                for config in candidates
-                if config in missing
-                for label in labels
-                if label in missing[config]
-            ]
-            owned_keys, flights, ready = self.cache.acquire(flat)
-            if flights:
-                metrics.counter("serve.inflight_coalesced").inc(len(flights))
-            owned_set = set(owned_keys)
-            missing_owned = {}
-            for config, labs in missing.items():
-                owned_labs = {
-                    lab for lab in labs if keys[(config, lab)] in owned_set
-                }
-                if owned_labs:
-                    missing_owned[config] = owned_labs
-            by_key = {key: cl for cl, key in keys.items()}
-            for key, ev in ready.items():
-                config, label = by_key[key]
-                evaluations[label][config] = ev
-
-        miss_configs = [c for c in candidates if c in missing_owned]
-        if miss_configs:
-            calls = metrics.counter("estimator.calls", {"fidelity": fidelity})
-            latency = metrics.histogram(
-                "estimator.evaluate_seconds", {"fidelity": fidelity}
-            )
-            try:
-                t = time.perf_counter()
-                batch = estimator.evaluate_batch(miss_configs, scenarios=columns)
-                dt = time.perf_counter() - t
-                latency.observe(dt)
-                calls.inc()
-                metrics.counter(
-                    "estimator.batch_rows", {"fidelity": fidelity}
-                ).inc(len(miss_configs) * len(columns))
-                if OBS.enabled:
-                    OBS.tracer.record(
-                        "estimator.evaluate_batch", t, t + dt,
-                        category="robust_plan",
-                        rows=len(miss_configs), scenarios=len(columns),
-                    )
-                for i, config in enumerate(miss_configs):
-                    for j, label in enumerate(labels):
-                        if label not in missing_owned[config]:
-                            continue
-                        ev = batch.evaluation(i, j)
-                        key = keys[(config, label)]
-                        if single_flight:
-                            self.cache.fulfil(key, ev)
-                        else:
-                            self.cache.put(key, ev)
-                        evaluations[label][config] = ev
-            except BaseException as err:
-                if single_flight:
-                    for config, labs in missing_owned.items():
-                        for lab in labs:
-                            self.cache.abandon(keys[(config, lab)], err)
-                raise
-        for key, flight in flights.items():
-            config, label = by_key[key]
-            evaluations[label][config] = flight.result()
-
-        wall = (time.perf_counter() - t0) / len(labels)
-        per_scenario: dict[str, PlanResult] = {}
-        for label in labels:
-            stats = PlannerStats()
-            stats.candidates = len(candidates)
-            stats.pruned_memory = space.stats.pruned_memory
-            stats.pruned_branches = space.stats.pruned_branches
-            evaluated = sum(
-                1 for c in miss_configs if label in missing_owned[c]
-            )
-            stats.evaluated = evaluated
-            stats.cache_hits = len(candidates) - evaluated
-            stats.wall_seconds = wall
-            per_scenario[label] = PlanResult(
-                model=spec.name,
-                n_gpus=job.n_gpus,
-                fidelity=fidelity,
-                budget_bytes=self.machine.gpu_memory_bytes,
-                evaluations=list(evaluations[label].values()),
-                stats=stats,
-            )
-        return per_scenario
+        except Exception:
+            # contradictions (e.g. analytic + overlap) surface with their
+            # canonical message from the per-column plan() below
+            probe = None
+        if probe is None or not getattr(probe, "supports_batch", False):
+            return {
+                label: self.plan(job, scenario=column, spec=spec, **axes)
+                for label, column in zip(labels, columns)
+            }
+        results = self._search(
+            spec, self._space(job, spec, **axes), probe, columns,
+            job.n_gpus, job.partition_mode,
+        )
+        return dict(zip(labels, results))
 
     # -- stochastic questions -----------------------------------------------
     def mc_robust_plan(
@@ -928,133 +762,140 @@ class Session:
             )
 
     # -- the search loop (shared with the legacy Planner) -------------------
-    def _evaluate_space(
+    def _space(
+        self,
+        job: Job,
+        spec: ModelSpec,
+        *,
+        frameworks: tuple,
+        microbatch_sizes: tuple,
+        explore_no_checkpoint: bool,
+    ) -> SearchSpace:
+        return SearchSpace(
+            spec=spec,
+            n_gpus=job.n_gpus,
+            frameworks=frameworks,
+            sparsities=(job.sparsity,),
+            microbatch_sizes=microbatch_sizes,
+            explore_no_checkpoint=explore_no_checkpoint,
+            cal=self.machine.cal,
+        )
+
+    def _search(
         self,
         spec: ModelSpec,
         space: SearchSpace,
         estimator: CostEstimator,
+        columns: list,
         n_gpus: int,
-        stats,
         partition_mode: str = "flops",
-    ) -> PlanResult:
-        """Enumerate, memoise, evaluate concurrently, rank.
+    ) -> list[PlanResult]:
+        """Enumerate, claim, price, publish: one :class:`PlanResult` per
+        scenario column.
 
-        Cache keys derive from the frozen Machine identity plus the
-        estimator's fidelity label, scenario, and each config's
-        canonical hash (:func:`~repro.autotune.cache.evaluation_cache_key`).
-        Evaluations come out in candidate order whichever of them the
-        cache already held, so tied times rank the same way every time.
+        The candidates × columns matrix goes through the cache as one
+        request (:meth:`EvaluationCache.acquire`): hits come back as
+        stored, cells another request is pricing are waited on, and the
+        cells this request owns are priced (:meth:`_price`) and
+        published with :meth:`EvaluationCache.fulfil`. A plan is a
+        one-column matrix under its estimator's own scenario. Every
+        column lists its evaluations in candidate order whatever the
+        cache held, so tied times rank the same way every time.
         """
+        from ..autotune.search import PlannerStats  # deferred: search wraps the api
+
         t0 = time.perf_counter()
         fidelity = estimator.fidelity
         candidates = self._spaces.candidates(space)
-        stats.candidates = len(candidates)
-        stats.pruned_memory = space.stats.pruned_memory
-        stats.pruned_branches = space.stats.pruned_branches
-
-        evaluations: dict[CandidateConfig, Evaluation] = dict.fromkeys(candidates)
-        misses: list[tuple[tuple, CandidateConfig]] = []
-        prefix = cache_key_prefix(
-            self.machine, spec, fidelity,
-            getattr(estimator, "scenario", None), partition_mode,
+        claim = self.cache.acquire(
+            [
+                cache_key_prefix(self.machine, spec, fidelity, column, partition_mode)
+                for column in columns
+            ],
+            [config.canonical_hash() for config in candidates],
         )
-        for config in candidates:
-            key = prefix + (config.canonical_hash(),)
-            cached = self.cache.get(key)
-            if cached is not None:
-                evaluations[config] = cached
-                stats.cache_hits += 1
-            else:
-                misses.append((key, config))
-
         metrics = OBS.metrics
-        metrics.counter("planner.candidates").inc(len(candidates))
-        metrics.counter("planner.cache.hits").inc(len(candidates) - len(misses))
-        metrics.counter("planner.cache.misses").inc(len(misses))
+        n_cells = len(claim.values)
+        waiting = claim.waiting
+        n_misses = len(claim.owned) + waiting
+        metrics.counter("planner.candidates").inc(n_cells)
+        metrics.counter("planner.cache.hits").inc(n_cells - n_misses)
+        metrics.counter("planner.cache.misses").inc(n_misses)
+        if waiting:
+            metrics.counter("serve.inflight_coalesced").inc(waiting)
+        if claim.owned:
+            try:
+                self._price(claim, candidates, estimator, columns)
+            except BaseException as err:
+                # wake coalesced waiters instead of hanging them
+                self.cache.abandon(claim, err)
+                raise
+            self.cache.fulfil(claim)
+        values = claim.wait()
 
-        if misses:
-            # single-flight stores (repro.serve) hand each missing key to
-            # exactly one concurrent request; everyone else waits on the
-            # owner's in-flight evaluation instead of re-pricing it
-            single_flight = getattr(self.cache, "supports_single_flight", False)
-            if single_flight:
-                owned_keys, flights, ready = self.cache.acquire(
-                    [k for k, _ in misses]
-                )
-                if flights:
-                    metrics.counter("serve.inflight_coalesced").inc(len(flights))
-            else:
-                owned_keys, flights, ready = [k for k, _ in misses], {}, {}
-            results: dict[tuple, Evaluation] = dict(ready)
-            owned_set = set(owned_keys)
-            owned = [(k, c) for k, c in misses if k in owned_set]
-            stats.evaluated = len(owned)
-            stats.cache_hits += len(misses) - len(owned)
+        n_cols = len(columns)
+        evaluated = [0] * n_cols
+        for i in claim.owned:
+            evaluated[i % n_cols] += 1
+        wall = (time.perf_counter() - t0) / n_cols
+        return [
+            PlanResult(
+                model=spec.name,
+                n_gpus=n_gpus,
+                fidelity=fidelity,
+                budget_bytes=self.machine.gpu_memory_bytes,
+                evaluations=values[j::n_cols],
+                stats=PlannerStats(
+                    candidates=len(candidates),
+                    evaluated=evaluated[j],
+                    cache_hits=len(candidates) - evaluated[j],
+                    pruned_memory=space.stats.pruned_memory,
+                    pruned_branches=space.stats.pruned_branches,
+                    wall_seconds=wall,
+                ),
+            )
+            for j in range(n_cols)
+        ]
 
-            def publish(key: tuple, ev: Evaluation) -> None:
-                if single_flight:
-                    self.cache.fulfil(key, ev)
-                else:
-                    self.cache.put(key, ev)
-                results[key] = ev
+    def _price(
+        self, claim: Claim, candidates, estimator: CostEstimator, columns: list
+    ) -> None:
+        """Price the claim's owned cells into ``claim.values``.
 
-            if owned:
-                calls = metrics.counter("estimator.calls", {"fidelity": fidelity})
-                latency = metrics.histogram(
-                    "estimator.evaluate_seconds", {"fidelity": fidelity}
-                )
-                try:
-                    if getattr(estimator, "supports_batch", False):
-                        # vectorized path: price every miss in ONE call,
-                        # then back-fill the shared cache cell-by-cell so a
-                        # later scalar run (or the reverse) interconverts
-                        t = time.perf_counter()
-                        batch = estimator.evaluate_batch(c for _, c in owned)
-                        dt = time.perf_counter() - t
-                        latency.observe(dt)
-                        calls.inc()
-                        metrics.counter(
-                            "estimator.batch_rows", {"fidelity": fidelity}
-                        ).inc(len(owned))
-                        if OBS.enabled:
-                            OBS.tracer.record(
-                                "estimator.evaluate_batch", t, t + dt,
-                                category="plan", rows=len(owned),
-                            )
-                        for row, (key, _config) in enumerate(owned):
-                            publish(key, batch.evaluation(row, 0))
-                    else:
-                        def evaluate(config: CandidateConfig) -> Evaluation:
-                            t = time.perf_counter()
-                            ev = estimator.evaluate(config)
-                            latency.observe(time.perf_counter() - t)
-                            calls.inc()
-                            return ev
-
-                        with concurrent.futures.ThreadPoolExecutor(
-                            max_workers=self.max_workers
-                        ) as pool:
-                            for (key, _config), ev in zip(
-                                owned, pool.map(evaluate, (c for _, c in owned))
-                            ):
-                                publish(key, ev)
-                except BaseException as err:
-                    if single_flight:
-                        # wake coalesced waiters instead of hanging them
-                        for key, _config in owned:
-                            self.cache.abandon(key, err)
-                    raise
-            for key, flight in flights.items():
-                results[key] = flight.result()
-            for key, config in misses:
-                evaluations[config] = results[key]
-
-        stats.wall_seconds = time.perf_counter() - t0
-        return PlanResult(
-            model=spec.name,
-            n_gpus=n_gpus,
-            fidelity=fidelity,
-            budget_bytes=self.machine.gpu_memory_bytes,
-            evaluations=list(evaluations.values()),
-            stats=stats,
+        A batch-capable estimator prices every row holding an owned cell
+        across every column in one ``evaluate_batch`` call; a scalar
+        estimator prices its own scenario, so its matrix has one column
+        and each owned cell is one ``evaluate``.
+        """
+        metrics = OBS.metrics
+        fidelity = estimator.fidelity
+        calls = metrics.counter("estimator.calls", {"fidelity": fidelity})
+        latency = metrics.histogram("estimator.evaluate_seconds", {"fidelity": fidelity})
+        values = claim.values
+        if not getattr(estimator, "supports_batch", False):
+            for i in claim.owned:
+                t = time.perf_counter()
+                values[i] = estimator.evaluate(candidates[i])
+                latency.observe(time.perf_counter() - t)
+                calls.inc()
+            return
+        n_cols = len(columns)
+        rows = list(dict.fromkeys(i // n_cols for i in claim.owned))
+        t = time.perf_counter()
+        batch = estimator.evaluate_batch(
+            [candidates[r] for r in rows], scenarios=columns
         )
+        dt = time.perf_counter() - t
+        latency.observe(dt)
+        calls.inc()
+        metrics.counter("estimator.batch_rows", {"fidelity": fidelity}).inc(
+            len(rows) * n_cols
+        )
+        if OBS.enabled:
+            OBS.tracer.record(
+                "estimator.evaluate_batch", t, t + dt,
+                category="plan", rows=len(rows), scenarios=n_cols,
+            )
+        row_of = {r: k for k, r in enumerate(rows)}
+        for i in claim.owned:
+            values[i] = batch.evaluation(row_of[i // n_cols], i % n_cols)

@@ -12,8 +12,8 @@ memory budget:
 * :class:`AnalyticEstimator` / :class:`SimulatorEstimator` — the
   existing memory model (Eqs. 1-5), performance model (Eqs. 6-11) and
   event-driven pipeline simulator behind one ``evaluate`` interface;
-* :class:`Planner` — memoised (canonical config hash), concurrent
-  (thread-pool batch evaluation) search;
+* :class:`Planner` — memoised (canonical config hash), single-flight
+  search;
 * :class:`PlanResult` — best config, the (throughput, memory/GPU)
   Pareto frontier, and a Figure 8-style "why" breakdown.
 

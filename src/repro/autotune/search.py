@@ -1,17 +1,16 @@
 """The planner: the legacy search front end over the session facade.
 
-:class:`Planner` keeps PR 1's constructor signature but is now a thin
-wrapper over :class:`repro.api.Session` — the enumerate / memoise /
-thread-pool-evaluate loop lives in
-:meth:`repro.api.session.Session._evaluate_space`, with cache keys
-derived from the frozen :class:`~repro.api.Machine` identity instead of
+:class:`Planner` is a thin wrapper over :class:`repro.api.Session` —
+the enumerate / claim / price / publish loop lives in
+:meth:`repro.api.session.Session._search`, with cache keys derived from
+the frozen :class:`~repro.api.Machine` identity instead of
 hand-assembled tuples. One :meth:`Planner.plan` call still:
 
 1. enumerates the :class:`~repro.autotune.space.SearchSpace` (structural
    constraints and memory pruning happen there, before any costing);
 2. partitions candidates into cache hits and misses against the shared
    :data:`~repro.autotune.cache.GLOBAL_CACHE`;
-3. costs the misses in a thread-pool batch;
+3. costs the misses;
 4. returns a :class:`~repro.autotune.result.PlanResult`.
 
 .. deprecated::
@@ -22,7 +21,6 @@ hand-assembled tuples. One :meth:`Planner.plan` call still:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..cluster.calibration import SUMMIT, SummitCalibration, with_memory_budget
@@ -79,14 +77,12 @@ class Planner:
         explore_no_checkpoint: bool = True,
         budget_gb: float | None = None,
         cache: EvaluationCache | None = None,
-        max_workers: int | None = None,
         cal: SummitCalibration = SUMMIT,
     ):
         self.spec = get_spec(model) if isinstance(model, str) else model
         self.n_gpus = n_gpus
         self.cal = with_memory_budget(budget_gb, cal) if budget_gb is not None else cal
         self.cache = GLOBAL_CACHE if cache is None else cache
-        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
         self.space = SearchSpace(
             spec=self.spec,
             n_gpus=n_gpus,
@@ -108,12 +104,13 @@ class Planner:
         from ..api.machine import Machine  # deferred: the api wraps this module
         from ..api.session import Session
 
-        session = Session(
-            Machine(cal=self.cal), cache=self.cache, max_workers=self.max_workers
+        session = Session(Machine(cal=self.cal), cache=self.cache)
+        (result,) = session._search(
+            self.spec, self.space, self.estimator,
+            [getattr(self.estimator, "scenario", None)], self.n_gpus,
         )
-        return session._evaluate_space(
-            self.spec, self.space, self.estimator, self.n_gpus, self.stats
-        )
+        self.stats = result.stats
+        return result
 
 
 def plan(model: str | ModelSpec, n_gpus: int, **kwargs) -> PlanResult:

@@ -628,7 +628,6 @@ def run_serve(args) -> int:
         server = PlanningServer(
             machine=Machine.summit(budget_gb=args.budget_gb),
             store=store,
-            max_workers=args.session_workers,
         )
     except (KeyError, ValueError) as err:
         msg = err.args[0] if err.args else str(err)
@@ -905,8 +904,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             p.add_argument(
                 "--autosave-every", type=int, default=0, dest="autosave_every",
-                help="snapshot the store to --store after every N puts "
-                     "(0 = only at shutdown / on a 'save' request)",
+                help="snapshot the store to --store once N evaluations were "
+                     "stored since the last snapshot (0 = only at shutdown / "
+                     "on a 'save' request)",
             )
             p.add_argument(
                 "--http", type=int, default=None, metavar="PORT",
@@ -917,11 +917,6 @@ def main(argv: list[str] | None = None) -> int:
                 "--workers", type=int, default=8,
                 help="concurrent stdio requests (identical in-flight "
                      "requests coalesce through the store)",
-            )
-            p.add_argument(
-                "--session-workers", type=int, default=None, dest="session_workers",
-                help="threads per evaluation batch inside the session "
-                     "(default: min(8, cpu count))",
             )
             p.add_argument(
                 "--budget-gb", type=float, default=None, dest="budget_gb",

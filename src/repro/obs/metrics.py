@@ -5,7 +5,8 @@ A :class:`MetricsRegistry` hands out get-or-create instruments keyed on
 ``registry.histogram("estimator.evaluate_seconds",
 labels={"fidelity": "sim"})`` — and renders them as a flat JSON-ready
 snapshot or a ``prometheus``-style text dump. Instruments are
-thread-safe (the planner evaluates candidates from a thread pool).
+thread-safe (a planning server answers concurrent requests on one
+session registry).
 
 The process-wide default is :data:`NULL_REGISTRY`, whose instruments
 are shared no-op singletons: code may call

@@ -5,10 +5,10 @@ planning server: JSON-RPC over stdio or a stdlib HTTP server
 (:mod:`repro.serve.server`), every request priced through one
 process-wide :class:`PersistentEvaluationStore`
 (:mod:`repro.serve.store`) — an
-:class:`~repro.autotune.cache.EvaluationCache` extended with LRU
-bounds, an atomic JSON-lines disk snapshot for warm-starts, and
-single-flight coalescing so concurrent identical requests price each
-candidate exactly once.
+:class:`~repro.autotune.cache.EvaluationCache` (interned cell keys,
+request-level single flight so concurrent identical requests price each
+candidate exactly once) extended with LRU bounds and an atomic
+JSON-lines disk snapshot for warm-starts.
 
 ::
 

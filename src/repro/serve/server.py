@@ -18,7 +18,7 @@ JSON-RPC codes (-32700 parse, -32601 unknown method, -32602 invalid
 params, -32000 internal).
 
 Transports (both concurrent, so identical in-flight requests coalesce
-through the store's single-flight protocol):
+through the store's request-level single flight):
 
 * **stdio** — one JSON request (or a JSON-RPC batch array) per line on
   stdin, one response per line on stdout. Single requests are answered
@@ -90,13 +90,10 @@ class PlanningServer:
         self,
         machine: Machine | None = None,
         store: PersistentEvaluationStore | None = None,
-        max_workers: int | None = None,
     ):
         self.store = store if store is not None else PersistentEvaluationStore()
         self.session = Session(
-            machine if machine is not None else Machine(),
-            cache=self.store,
-            max_workers=max_workers,
+            machine if machine is not None else Machine(), cache=self.store
         )
         self.registry = self.session.registry
         self._stop = threading.Event()

@@ -1,26 +1,25 @@
 """The process-wide evaluation store behind the planning server.
 
 :class:`PersistentEvaluationStore` extends
-:class:`~repro.autotune.cache.EvaluationCache` with the three properties
-a long-lived, shared service needs and a per-process memo does not:
+:class:`~repro.autotune.cache.EvaluationCache` — interned cell keys and
+request-level single flight (:meth:`~EvaluationCache.acquire` /
+:meth:`~EvaluationCache.fulfil` / :meth:`~EvaluationCache.abandon`, with
+:class:`~repro.autotune.cache.Flight` as the hand-off) — with the two
+properties a long-lived, shared service needs and a per-process memo
+does not:
 
-* **Bounded capacity with LRU eviction** — entries are kept in
-  recency order (every hit refreshes); once ``max_entries`` is exceeded
-  the least-recently-used evaluation is dropped and counted in
-  ``evictions``.
+* **Bounded capacity with LRU eviction** — cells are kept in recency
+  order (every hit refreshes); once ``max_entries`` is exceeded the
+  least-recently-used evaluation is dropped and counted in
+  ``evictions``, and a key prefix is forgotten with its last cell.
 * **Disk persistence + warm-start** — :meth:`save` writes an atomic
   JSON-lines snapshot (versioned header line, one ``{key, evaluation}``
-  record per line, ``os.replace`` so readers never see a torn file);
-  :meth:`load` warm-starts a fresh process from it. A file that fails
-  the header or any record check is *quarantined* (renamed to
+  record per line with the full key tuple, ``os.replace`` so readers
+  never see a torn file); :meth:`load` warm-starts a fresh process from
+  it, decoding each distinct key prefix once. A file that fails the
+  header or any record check is *quarantined* (renamed to
   ``<path>.corrupt-<n>``) instead of crashing the server — the valid
   prefix is kept.
-* **Single-flight request coalescing** — :meth:`acquire` hands each
-  missing key to exactly one caller (the *owner*, who must
-  :meth:`fulfil` or :meth:`abandon` it); every other concurrent caller
-  gets a :class:`Flight` to wait on. A thundering herd of identical
-  requests therefore prices each candidate exactly once; coalesced
-  waits are counted in ``coalesced``.
 
 Cache keys (see :func:`~repro.autotune.cache.evaluation_cache_key`) are
 tuples over strings, numbers, ``None``, the frozen
@@ -37,10 +36,8 @@ import contextlib
 import json
 import os
 import tempfile
-import threading
-from collections import OrderedDict
 
-from ..autotune.cache import EvaluationCache
+from ..autotune.cache import EvaluationCache, Flight
 from ..autotune.estimator import Evaluation
 from ..cluster.calibration import SummitCalibration
 from ..parallel.scenarios import ClusterScenario
@@ -98,37 +95,19 @@ def decode_key(data):
     return data
 
 
-# ---------------------------------------------------------------------------
-# single-flight
-# ---------------------------------------------------------------------------
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
-class Flight:
-    """One in-flight evaluation other requests can wait on."""
 
-    __slots__ = ("_event", "_value", "_error")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._value = None
-        self._error = None
-
-    def set(self, value: Evaluation) -> None:
-        self._value = value
-        self._event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    def result(self, timeout: float | None = None) -> Evaluation:
-        """Block until the owner fulfils (or abandons) the flight."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("in-flight evaluation did not complete in time")
-        if self._error is not None:
-            raise RuntimeError(
-                "coalesced evaluation failed in its owning request"
-            ) from self._error
-        return self._value
+def _frozen(data):
+    """A hashable stand-in for decoded JSON: lists -> tuples, dicts ->
+    item tuples (the memo key of one encoded key prefix)."""
+    if data.__class__ is list:
+        return tuple([x if x.__class__ in _SCALARS else _frozen(x) for x in data])
+    if data.__class__ is dict:
+        return tuple(
+            [(k, v if v.__class__ in _SCALARS else _frozen(v)) for k, v in data.items()]
+        )
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +115,14 @@ class Flight:
 # ---------------------------------------------------------------------------
 
 class PersistentEvaluationStore(EvaluationCache):
-    """Shared evaluation store: LRU bounds, persistence, single-flight.
+    """Shared evaluation store: LRU bounds and persistence.
 
-    Drop-in for any :class:`~repro.api.Session` ``cache=``; planners
-    detect ``supports_single_flight`` and route cache misses through
-    :meth:`acquire`/:meth:`fulfil` so concurrent identical searches
-    coalesce.
-
+    Drop-in for any :class:`~repro.api.Session` ``cache=``.
     ``max_entries=0`` means unbounded. ``autosave_every=N`` snapshots to
-    ``path`` after every N puts (0 disables; :meth:`save` is always
+    ``path`` once N cells were stored since the last snapshot (checked
+    after each request's publish; 0 disables; :meth:`save` is always
     available explicitly).
     """
-
-    #: planners reroute their miss path through acquire/fulfil when True
-    supports_single_flight = True
 
     def __init__(
         self,
@@ -162,148 +135,91 @@ class PersistentEvaluationStore(EvaluationCache):
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
         if autosave_every < 0:
             raise ValueError(f"autosave_every must be >= 0, got {autosave_every}")
-        # recency-ordered entries (oldest first) make eviction O(1)
-        self._entries = OrderedDict()
         self.path = os.fspath(path) if path is not None else None
         self.max_entries = max_entries
         self.autosave_every = autosave_every
         self.evictions = 0
-        self.coalesced = 0
         #: entries warm-started from disk by the last :meth:`load`
         self.loaded = 0
         #: where a corrupt snapshot was moved, if one was quarantined
         self.quarantined: str | None = None
-        self._inflight: dict[tuple, Flight] = {}
-        self._puts_since_save = 0
+        self._stored_since_save = 0
 
-    # -- the memo interface (LRU-aware) --------------------------------
-    def get(self, key: tuple) -> Evaluation | None:
-        with self._lock:
-            ev = self._entries.get(key)
-            if ev is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._entries.move_to_end(key)
-            return ev
+    # -- capacity ---------------------------------------------------------
+    def _trim(self) -> None:
+        if self.max_entries:
+            entries = self._entries
+            while len(entries) > self.max_entries:
+                (pid, _h), _ev = entries.popitem(last=False)
+                self._release(pid)
+                self.evictions += 1
+
+    def _reset_counters(self) -> None:
+        super()._reset_counters()
+        self.evictions = 0
+
+    def _stats(self) -> dict:
+        return {
+            **super()._stats(),
+            "max_entries": self.max_entries,
+            "evictions": self.evictions,
+            "loaded": self.loaded,
+        }
+
+    # -- autosave -----------------------------------------------------------
+    def fulfil(self, claim) -> None:
+        super().fulfil(claim)
+        self._count_stored(len(claim.owned))
 
     def put(self, key: tuple, evaluation: Evaluation) -> None:
+        super().put(key, evaluation)
+        self._count_stored(1)
+
+    def _count_stored(self, n: int) -> None:
+        if self.path is None or not self.autosave_every:
+            return
         with self._lock:
-            if key in self._entries:
-                self.dedup += 1
-            self._entries[key] = evaluation
-            self._entries.move_to_end(key)
-            if self.max_entries:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-            self._puts_since_save += 1
-            autosave = (
-                self.path is not None
-                and self.autosave_every
-                and self._puts_since_save >= self.autosave_every
-            )
-            if autosave:
-                self._puts_since_save = 0
-        if autosave:
+            self._stored_since_save += n
+            due = self._stored_since_save >= self.autosave_every
+            if due:
+                self._stored_since_save = 0
+        if due:
             self.save()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.dedup = 0
-            self.evictions = 0
-            self.coalesced = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "dedup": self.dedup,
-                "max_entries": self.max_entries,
-                "evictions": self.evictions,
-                "coalesced": self.coalesced,
-                "inflight": len(self._inflight),
-                "loaded": self.loaded,
-            }
-
-    # -- single-flight --------------------------------------------------
-    def acquire(self, keys) -> tuple[list, dict, dict]:
-        """Partition ``keys`` into owned / waiting / already-cached.
-
-        Returns ``(owned, flights, ready)``: the caller must evaluate
-        every key in ``owned`` and :meth:`fulfil` (or :meth:`abandon`)
-        it; ``flights`` maps keys another caller is already pricing to
-        their :class:`Flight`; ``ready`` holds evaluations that landed
-        in the cache since the caller's miss scan (counted as hits).
-        """
-        owned: list = []
-        flights: dict = {}
-        ready: dict = {}
-        with self._lock:
-            for key in keys:
-                ev = self._entries.get(key)
-                if ev is not None:
-                    self.hits += 1
-                    self._entries.move_to_end(key)
-                    ready[key] = ev
-                elif key in self._inflight:
-                    self.coalesced += 1
-                    flights[key] = self._inflight[key]
-                else:
-                    self._inflight[key] = Flight()
-                    owned.append(key)
-        return owned, flights, ready
-
-    def fulfil(self, key: tuple, evaluation: Evaluation) -> None:
-        """Publish an owned evaluation and wake every coalesced waiter."""
-        self.put(key, evaluation)
-        with self._lock:
-            flight = self._inflight.pop(key, None)
-        if flight is not None:
-            flight.set(evaluation)
-
-    def abandon(self, key: tuple, error: BaseException) -> None:
-        """Release an owned key after a failure; waiters re-raise."""
-        with self._lock:
-            flight = self._inflight.pop(key, None)
-        if flight is not None:
-            flight.fail(error)
 
     # -- persistence ----------------------------------------------------
     def save(self, path: str | os.PathLike | None = None) -> int:
         """Atomic JSON-lines snapshot; returns the entry count written.
 
-        Written to a temporary file in the target directory and
-        ``os.replace``d into place, so a concurrent :meth:`load` (or a
-        kill mid-save) sees either the old snapshot or the new one,
+        Each cell is written under its full key tuple, least recently
+        used first. Written to a temporary file in the target directory
+        and ``os.replace``d into place, so a concurrent :meth:`load` (or
+        a kill mid-save) sees either the old snapshot or the new one,
         never a torn file.
         """
         path = os.fspath(path) if path is not None else self.path
         if path is None:
             raise ValueError("no snapshot path: pass one or construct with path=")
         with self._lock:
-            records = [
-                (encode_key(key), ev.to_dict()) for key, ev in self._entries.items()
-            ]
-        header = {"format": STORE_FORMAT, "version": STORE_VERSION, "entries": len(records)}
+            cells = list(self._entries.items())
+            prefixes = {
+                pid: [encode_key(x) for x in self._prefixes[pid][0]]
+                for pid in {pid for (pid, _h), _ev in cells}
+            }
+        header = {"format": STORE_FORMAT, "version": STORE_VERSION, "entries": len(cells)}
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(prefix=".eval-store-", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps(header) + "\n")
-                for key, ev in records:
-                    fh.write(json.dumps({"key": key, "evaluation": ev}) + "\n")
+                for (pid, h), ev in cells:
+                    key = {"__tuple__": [*prefixes[pid], encode_key(h)]}
+                    fh.write(json.dumps({"key": key, "evaluation": ev.to_dict()}) + "\n")
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        return len(records)
+        return len(cells)
 
     def load(self, path: str | os.PathLike | None = None) -> int:
         """Warm-start from a snapshot; returns the entry count loaded.
@@ -313,14 +229,16 @@ class PersistentEvaluationStore(EvaluationCache):
         record — is quarantined by renaming it next to the snapshot
         (``<path>.corrupt-<n>``) and the valid prefix is kept, so a
         crash mid-save or a hand-edited file can never take the server
-        down with it.
+        down with it. Each distinct key prefix is decoded once, so the
+        loaded cells of one workload share one calibration object.
         """
         path = os.fspath(path) if path is not None else self.path
         if path is None:
             raise ValueError("no snapshot path: pass one or construct with path=")
         if not os.path.exists(path):
             return 0
-        loaded: list[tuple[tuple, Evaluation]] = []
+        loaded: list[tuple[tuple, object, Evaluation]] = []
+        decoded: dict = {}
         corrupt: str | None = None
         with open(path) as fh:
             try:
@@ -335,24 +253,26 @@ class PersistentEvaluationStore(EvaluationCache):
                     if not line.strip():
                         continue
                     record = json.loads(line)
+                    parts = record["key"]["__tuple__"]
+                    memo = _frozen(parts[:-1])
+                    prefix = decoded.get(memo)
+                    if prefix is None:
+                        prefix = decoded[memo] = tuple(decode_key(x) for x in parts[:-1])
                     loaded.append(
                         (
-                            decode_key(record["key"]),
+                            prefix,
+                            decode_key(parts[-1]),
                             Evaluation.from_dict(record["evaluation"]),
                         )
                     )
-            except (ValueError, KeyError, TypeError) as err:
+            except (ValueError, KeyError, TypeError, IndexError) as err:
                 corrupt = str(err)
         if corrupt is not None:
             self.quarantined = self._quarantine(path)
         with self._lock:
-            for key, ev in loaded:
-                self._entries[key] = ev
-                self._entries.move_to_end(key)
-                if self.max_entries:
-                    while len(self._entries) > self.max_entries:
-                        self._entries.popitem(last=False)
-                        self.evictions += 1
+            for prefix, h, ev in loaded:
+                self._store((self._intern(prefix), h), ev)
+                self._trim()
             self.loaded = len(loaded)
         return len(loaded)
 

@@ -309,8 +309,6 @@ def run_mc_robust_plan(
     Runs inside the session's ``_op`` scope, so ``OBS.metrics`` is the
     session registry and spans land on the session tracer.
     """
-    from ..autotune.estimator import make_estimator
-
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     t0 = time.perf_counter()
@@ -352,47 +350,19 @@ def run_mc_robust_plan(
         )
 
     # -- price the candidate × scenario matrix once ---------------------
-    try:
-        probe = make_estimator(
-            fidelity, spec, session.machine.cal,
-            partition_mode=job.partition_mode,
-            overlap=job.overlap, placement=job.placement,
-        )
-    except Exception:
-        probe = None  # conflicts surface from the per-column loop below
-    if probe is not None and getattr(probe, "supports_batch", False):
-        per_label = session._robust_matrix(
-            job, spec, labels, columns, probe,
-            frameworks=frameworks,
-            microbatch_sizes=microbatch_sizes,
-            explore_no_checkpoint=explore_no_checkpoint,
-        )
-    else:
-        per_label = {}
-        for label, column in zip(labels, columns):
-            per_label[label] = session.plan(
-                job,
-                scenario=column,
-                frameworks=frameworks,
-                microbatch_sizes=microbatch_sizes,
-                explore_no_checkpoint=explore_no_checkpoint,
-                spec=spec,
-            )
-
-    first = per_label[labels[0]]
-    by_config = {
-        label: {e.config: e for e in res.evaluations}
-        for label, res in per_label.items()
-    }
-    times = np.array(
-        [
-            [by_config[label][ev.config].total_time for label in labels]
-            for ev in first.evaluations
-        ]
+    per_label = session._price_columns(
+        job, spec, labels, columns,
+        frameworks=frameworks,
+        microbatch_sizes=microbatch_sizes,
+        explore_no_checkpoint=explore_no_checkpoint,
     )
+    # every column lists the same candidates in the same order, so row r
+    # of the (config, scenario) time matrix is candidate r
+    rows = list(zip(*(res.evaluations for res in per_label.values())))
+    times = np.array([[ev.total_time for ev in row] for row in rows])
 
     # -- per-sample costs = priced matrix × exposure weights ------------
-    n_candidates = len(first.evaluations)
+    n_candidates = len(rows)
     if degenerate:
         # exact degeneration: every sample is the neutral machine, so
         # the mean IS the plan() column — no averaging round-trip
@@ -419,10 +389,10 @@ def run_mc_robust_plan(
     worst_idx = np.argmax(costs, axis=1)
 
     entries = []
-    for r, ev in enumerate(first.evaluations):
+    for r, row in enumerate(rows):
         entries.append(
             MCCandidate(
-                config=ev.config,
+                config=row[0].config,
                 mean_time=float(mean_arr[r]),
                 std_time=float(std_arr[r]),
                 ci95=float(ci_arr[r]),
@@ -431,12 +401,10 @@ def run_mc_robust_plan(
                 per_scenario={
                     label: float(times[r, j]) for j, label in enumerate(labels)
                 },
-                sample_costs=tuple(float(c) for c in costs[r]),
-                memory_bytes=ev.memory_bytes,
-                feasible=all(
-                    by_config[label][ev.config].feasible for label in labels
-                ),
-                batch_size=ev.batch_size,
+                sample_costs=tuple(costs[r].tolist()),
+                memory_bytes=row[0].memory_bytes,
+                feasible=all(ev.feasible for ev in row),
+                batch_size=row[0].batch_size,
             )
         )
 
