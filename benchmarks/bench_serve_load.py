@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.reporting import render_table
-from repro.serve import PersistentEvaluationStore, PlanningServer
+from repro.serve import PersistentEvaluationStore, PlanningServer, decode_response
 
 #: (label, method, params) over the paper's spaces (Fig. 6-8 subjects)
 TEMPLATES = (
@@ -73,10 +73,11 @@ def _pct(samples, q) -> float:
 
 def _timed(server, label, method, params, rid, sink, lock):
     t0 = time.perf_counter()
-    response = server.handle(
+    text = server.handle(
         {"jsonrpc": "2.0", "id": rid, "method": method, "params": params}
     )
     dt = time.perf_counter() - t0
+    response = decode_response(text)  # outside the timed region
     assert "error" not in response, response
     with lock:
         sink.setdefault(label, []).append(dt)

@@ -97,6 +97,10 @@ class EvaluationBatch:
     microbatches: np.ndarray | None = None
     #: pre-materialised cells (row-major), set by the scalar fallback
     cells: tuple | None = field(default=None, repr=False)
+    #: shared by the cells materialised from this batch: row index ->
+    #: (ParallelConfig, notes), and decomposition -> ParallelConfig
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pcfgs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_configs(self) -> int:
@@ -112,33 +116,35 @@ class EvaluationBatch:
         return self.compute + self.p2p + self.bubble + self.collective + self.other
 
     def evaluation(self, i: int, j: int = 0) -> Evaluation:
-        """Materialise cell ``(i, j)`` as a scalar :class:`Evaluation`."""
+        """Materialise cell ``(i, j)`` as a scalar :class:`Evaluation`.
+
+        A row's cells share one ParallelConfig and notes dict, and equal
+        ParallelConfigs are one object: stored cells never change.
+        """
         if self.cells is not None:
             return self.cells[i][j]
         config = self.configs[i]
         mem = int(self.memory_bytes[i])
-        if self.family == "cnn":
-            pcfg = ParallelConfig(
-                n_gpus=config.n_gpus, g_inter=1, g_data=config.n_gpus,
-                mbs=config.mbs, microbatches=1,
-            )
-            notes = {"mode": config.mode, "fidelity": self.fidelity}
-        else:
-            pcfg = ParallelConfig(
-                n_gpus=config.g_inter * config.g_data,
-                g_inter=config.g_inter,
-                g_data=config.g_data,
-                mbs=config.mbs,
-                microbatches=int(self.microbatches[i]),
-            )
-            notes = {
-                "t_f": float(self.t_f[i]),
-                "t_b": float(self.t_b[i]),
-                "overhead": float(self.overhead[i]),
-                "mode": config.mode,
-                "g_tensor": config.g_tensor,
-                "fidelity": self.fidelity,
-            }
+        row = self._rows.get(i)
+        if row is None:
+            # shape: the ParallelConfig fields (n_gpus, g_inter, g_data, mbs, microbatches)
+            if self.family == "cnn":
+                shape = (config.n_gpus, 1, config.n_gpus, config.mbs, 1)
+                notes = {"mode": config.mode, "fidelity": self.fidelity}
+            else:
+                shape = (config.g_inter * config.g_data, config.g_inter, config.g_data,
+                         config.mbs, int(self.microbatches[i]))
+                notes = {
+                    "t_f": float(self.t_f[i]),
+                    "t_b": float(self.t_b[i]),
+                    "overhead": float(self.overhead[i]),
+                    "mode": config.mode,
+                    "g_tensor": config.g_tensor,
+                    "fidelity": self.fidelity,
+                }
+            pcfg = self._pcfgs.get(shape) or self._pcfgs.setdefault(shape, ParallelConfig(*shape))
+            row = self._rows[i] = (pcfg, notes)
+        pcfg, notes = row
         breakdown = BatchBreakdown(
             framework=config.framework,
             model=self.model,

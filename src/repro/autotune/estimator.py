@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..cluster.calibration import SUMMIT, SummitCalibration
 from ..cluster.collectives import ring_allreduce_time
@@ -128,9 +128,14 @@ def candidate_memory_per_gpu(
 # results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evaluation:
-    """Costed candidate: the Figure-8 breakdown plus memory feasibility."""
+    """Costed candidate: the Figure-8 breakdown plus memory feasibility.
+
+    A stored cell never changes, so :attr:`fragment` keeps its wire form,
+    ``json.dumps(self.to_dict())``, once ``repro.serve.server`` first
+    encodes it (outside ``==``, hash and repr).
+    """
 
     config: CandidateConfig
     breakdown: BatchBreakdown
@@ -138,6 +143,7 @@ class Evaluation:
     feasible: bool
     batch_size: int
     fidelity: str = "analytic"
+    fragment: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def total_time(self) -> float:

@@ -67,14 +67,19 @@ class PlanResult:
         Full-precision floats, so two plans serialized from identical
         inputs are diffable artifacts (``repro plan --json``).
         """
+        return self.layout(Evaluation.to_dict)
+
+    def layout(self, cell) -> dict:
+        """:meth:`to_dict`'s fields with each evaluation mapped by ``cell``
+        (the planning server keeps them and writes their JSON fragments)."""
         best = self.feasible
         return {
             "model": self.model,
             "n_gpus": self.n_gpus,
             "fidelity": self.fidelity,
             "budget_bytes": self.budget_bytes,
-            "best": best[0].to_dict() if best else None,
-            "evaluations": [e.to_dict() for e in self.evaluations],
+            "best": cell(best[0]) if best else None,
+            "evaluations": [cell(e) for e in self.evaluations],
             "stats": self.stats.as_dict() if self.stats is not None else None,
         }
 

@@ -70,7 +70,7 @@ def transmission_time(
     return 4.0 * m * message_time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParallelConfig:
     """The G = G_inter x G_data decomposition actually used for a run."""
 
@@ -100,7 +100,7 @@ class ParallelConfig:
         return cls(**data)
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchBreakdown:
     """Non-overlapping phases of one training batch (Figure 8)."""
 

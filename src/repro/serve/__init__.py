@@ -19,7 +19,8 @@ See ``docs/serving.md`` for the wire protocol, persistence format,
 eviction policy, and warm-start semantics.
 """
 
-from .server import PlanningServer, make_http_server, serve_http, serve_stdio
+from .server import (PlanningServer, decode_response, encode_response,
+                     make_http_server, serve_http, serve_stdio)
 from .store import (
     STORE_FORMAT,
     STORE_VERSION,
@@ -31,6 +32,8 @@ from .store import (
 
 __all__ = [
     "PlanningServer",
+    "encode_response",
+    "decode_response",
     "serve_stdio",
     "serve_http",
     "make_http_server",

@@ -28,6 +28,10 @@ through the store's request-level single flight):
   ``POST /`` with a request or batch body, ``GET /metrics`` for the
   Prometheus text exposition, ``GET /healthz``.
 
+:meth:`PlanningServer.handle` returns each response as wire text from
+:func:`encode_response`; a plan answer is spliced from its cells' JSON
+fragments, each encoded once and kept on the cell.
+
 Every request lands in ``serve.requests{method=...}`` and
 ``serve.request_seconds{method=...}`` on the session registry, next to
 the existing ``session.ops``/``estimator.calls`` instruments; misses
@@ -44,11 +48,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..api import Job, Machine, ScenarioSet, Session
+from ..autotune.estimator import Evaluation
+from ..autotune.result import PlanResult
 from ..parallel.scenarios import ClusterScenario
 from ..stochastic import ScenarioProcess
 from .store import PersistentEvaluationStore
 
-__all__ = ["PlanningServer", "serve_stdio", "serve_http"]
+__all__ = ["PlanningServer", "encode_response", "decode_response", "serve_stdio", "serve_http"]
 
 PROTOCOL = "2.0"
 
@@ -57,6 +63,57 @@ PARSE_ERROR = -32700
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32000
+
+
+def _fragment(ev: Evaluation) -> str:
+    """The cell's canonical JSON, encoded the first time and kept on it
+    (racing threads write the same string, so no lock is needed)."""
+    text = ev.fragment
+    if text is None:
+        text = json.dumps(ev.to_dict())
+        object.__setattr__(ev, "fragment", text)
+    return text
+
+
+def _splice(doc: dict) -> str:
+    """``json.dumps(doc)`` with each plan laid out by :meth:`PlanResult.layout`
+    and its evaluations written as fragments. Each run of other fields is
+    one ``json.dumps``, which also writes the next spliced field's key."""
+    parts, run = [], {}
+    for key, value in doc.items():
+        if isinstance(value, PlanResult):
+            text = _splice(value.layout(lambda ev: ev))
+        elif isinstance(value, Evaluation):
+            text = _fragment(value)
+        elif value.__class__ is list and value and isinstance(value[0], Evaluation):
+            text = "[" + ", ".join([_fragment(ev) for ev in value]) + "]"
+        else:
+            run[key] = value
+            continue
+        run[key] = None
+        parts.append(json.dumps(run)[1:-5] + text)  # '"key": null}' -> '"key": ' + text
+        run = {}
+    if run:
+        parts.append(json.dumps(run)[1:-1])
+    return "{" + ", ".join(parts) + "}"
+
+
+def encode_response(response) -> str:
+    """The wire text of a response or a batch array of them: byte for byte
+    ``json.dumps`` of it with results built by ``to_dict()``. Text that
+    :meth:`PlanningServer.handle` rendered passes through as is."""
+    if isinstance(response, str):
+        return response
+    if isinstance(response, list):
+        return "[" + ", ".join([encode_response(r) for r in response]) + "]"
+    if isinstance(response.get("result"), PlanResult):
+        return _splice(response)
+    return json.dumps(response)
+
+
+def decode_response(text: str):
+    """:meth:`PlanningServer.handle`'s text, decoded for callers reading fields."""
+    return json.loads(text)
 
 
 def _resolve_scenario(value):
@@ -79,7 +136,7 @@ def _search_kwargs(params: dict) -> dict:
 
 
 class PlanningServer:
-    """The service half: request dicts in, response dicts out.
+    """The service half: request dicts in, response wire text out.
 
     Transport-agnostic — :func:`serve_stdio` and :func:`serve_http` (and
     the load benchmark, which calls :meth:`handle` straight from worker
@@ -119,13 +176,12 @@ class PlanningServer:
             raise ValueError("missing required param 'job'")
         return Job.from_dict(dict(params["job"]))
 
-    def do_plan(self, params: dict) -> dict:
-        result = self.session.plan(
+    def do_plan(self, params: dict) -> PlanResult:
+        return self.session.plan(  # encode_response splices its fragments
             self._job(params),
             scenario=_resolve_scenario(params.get("scenario")),
             **_search_kwargs(params),
         )
-        return result.to_dict()
 
     def do_robust_plan(self, params: dict) -> dict:
         scenarios = params.get("scenarios")
@@ -212,8 +268,10 @@ class PlanningServer:
         return {"ok": True, "stopping": True}
 
     # ------------------------------------------------------------------
-    def handle(self, request) -> dict:
-        """One JSON-RPC request dict -> one response dict (never raises)."""
+    def handle(self, request) -> str:
+        """One JSON-RPC request dict -> its response's wire text, which
+        both transports write as is (never raises; see
+        :func:`decode_response` for in-process readers)."""
         rid = request.get("id") if isinstance(request, dict) else None
         if not isinstance(request, dict) or not isinstance(
             request.get("method"), str
@@ -241,15 +299,15 @@ class PlanningServer:
             self.registry.histogram(
                 "serve.request_seconds", {"method": method}
             ).observe(time.perf_counter() - t0)
-        return {"jsonrpc": PROTOCOL, "id": rid, "result": result}
+        return encode_response({"jsonrpc": PROTOCOL, "id": rid, "result": result})
 
     @staticmethod
-    def _error(rid, code: int, message: str) -> dict:
-        return {
+    def _error(rid, code: int, message: str) -> str:
+        return encode_response({
             "jsonrpc": PROTOCOL,
             "id": rid,
             "error": {"code": code, "message": message},
-        }
+        })
 
     # -- prometheus -----------------------------------------------------
     def prometheus(self) -> str:
@@ -273,9 +331,9 @@ def serve_stdio(server: PlanningServer, stdin, stdout, request_workers: int = 8)
     """
     write_lock = threading.Lock()
 
-    def emit(obj) -> None:
+    def emit(text: str) -> None:
         with write_lock:
-            stdout.write(json.dumps(obj) + "\n")
+            stdout.write(text + "\n")
             stdout.flush()
 
     try:
@@ -293,7 +351,7 @@ def serve_stdio(server: PlanningServer, stdin, stdout, request_workers: int = 8)
                     continue
                 if isinstance(payload, list):
                     futures = [pool.submit(server.handle, r) for r in payload]
-                    emit([f.result() for f in futures])
+                    emit(encode_response([f.result() for f in futures]))
                 else:
                     pool.submit(server.handle, payload).add_done_callback(
                         lambda f: emit(f.result())
@@ -321,7 +379,7 @@ def make_http_server(
             self.wfile.write(body)
 
         def _json(self, code: int, obj) -> None:
-            self._respond(code, json.dumps(obj).encode(), "application/json")
+            self._respond(code, encode_response(obj).encode(), "application/json")
 
         def do_POST(self):  # noqa: N802 — BaseHTTPRequestHandler contract
             length = int(self.headers.get("Content-Length") or 0)

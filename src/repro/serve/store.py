@@ -35,11 +35,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import tempfile
 
 from ..autotune.cache import EvaluationCache, Flight
+from ..autotune.config import CandidateConfig
 from ..autotune.estimator import Evaluation
 from ..cluster.calibration import SummitCalibration
+from ..parallel.perf_model import BatchBreakdown, ParallelConfig
 from ..parallel.scenarios import ClusterScenario
 
 __all__ = [
@@ -108,6 +111,29 @@ def _frozen(data):
             [(k, v if v.__class__ in _SCALARS else _frozen(v)) for k, v in data.items()]
         )
     return data
+
+
+def _cell_decoder():
+    """``Evaluation.from_dict`` for one snapshot's records, sharing what
+    repeats across cells while decoding: one CandidateConfig per config
+    hash (and exact sparsity, which the hash rounds), one ParallelConfig
+    per value and one copy of each repeated string."""
+    configs, pcfgs, intern = {}, {}, sys.intern
+
+    def decode(config_hash: str, data: dict) -> Evaluation:
+        c, b = data["config"], dict(data["breakdown"])
+        key = (config_hash, c["sparsity"])
+        config = configs.get(key) or configs.setdefault(key, CandidateConfig.from_dict(c))
+        shape = tuple(b["config"].items())
+        b["config"] = pcfgs.get(shape) or pcfgs.setdefault(shape, ParallelConfig(**b["config"]))
+        b.pop("total", None)  # derived
+        b["framework"], b["model"] = intern(b["framework"]), intern(b["model"])
+        b["notes"] = {intern(k): intern(v) if v.__class__ is str else v
+                      for k, v in b["notes"].items()}
+        return Evaluation(config, BatchBreakdown(**b), data["memory_bytes"], data["feasible"],
+                          data["batch_size"], intern(data["fidelity"]))
+
+    return decode
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +256,9 @@ class PersistentEvaluationStore(EvaluationCache):
         (``<path>.corrupt-<n>``) and the valid prefix is kept, so a
         crash mid-save or a hand-edited file can never take the server
         down with it. Each distinct key prefix is decoded once, so the
-        loaded cells of one workload share one calibration object.
+        loaded cells of one workload share one calibration object, and
+        cells share their configs and repeated strings (see
+        :func:`_cell_decoder`).
         """
         path = os.fspath(path) if path is not None else self.path
         if path is None:
@@ -239,6 +267,7 @@ class PersistentEvaluationStore(EvaluationCache):
             return 0
         loaded: list[tuple[tuple, object, Evaluation]] = []
         decoded: dict = {}
+        decode_cell = _cell_decoder()
         corrupt: str | None = None
         with open(path) as fh:
             try:
@@ -258,14 +287,9 @@ class PersistentEvaluationStore(EvaluationCache):
                     prefix = decoded.get(memo)
                     if prefix is None:
                         prefix = decoded[memo] = tuple(decode_key(x) for x in parts[:-1])
-                    loaded.append(
-                        (
-                            prefix,
-                            decode_key(parts[-1]),
-                            Evaluation.from_dict(record["evaluation"]),
-                        )
-                    )
-            except (ValueError, KeyError, TypeError, IndexError) as err:
+                    h = decode_key(parts[-1])
+                    loaded.append((prefix, h, decode_cell(h, record["evaluation"])))
+            except (ValueError, KeyError, TypeError, IndexError, AttributeError) as err:
                 corrupt = str(err)
         if corrupt is not None:
             self.quarantined = self._quarantine(path)

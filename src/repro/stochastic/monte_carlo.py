@@ -152,22 +152,18 @@ class MCRobustResult:
         CRN the pairing shares the sampled timelines, which is what
         makes this test sharp.
         """
-        ranked = self.feasible
+        return self._leaders(self.feasible)
+
+    @staticmethod
+    def _leaders(ranked: list) -> list:
+        """:meth:`leaders` over an already ranked feasible list: one
+        (runner-ups × samples) difference matrix, reduced row-wise."""
         if not ranked:
             return []
-        best = ranked[0]
-        base = np.asarray(best.sample_costs)
-        out = [best]
-        for entry in ranked[1:]:
-            d = np.asarray(entry.sample_costs) - base
-            mean_d = float(d.mean())
-            if len(d) > 1:
-                half = Z95 * float(d.std(ddof=1)) / math.sqrt(len(d))
-            else:
-                half = 0.0
-            if mean_d <= half:
-                out.append(entry)
-        return out
+        costs = np.array([e.sample_costs for e in ranked])
+        d, n = costs[1:] - costs[0], costs.shape[1]
+        half = Z95 * d.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(d))
+        return [ranked[0]] + [e for e, tied in zip(ranked[1:], d.mean(axis=1) <= half) if tied]
 
     # ------------------------------------------------------------------
     def summary_table(self, top: int = 8) -> str:
@@ -233,7 +229,7 @@ class MCRobustResult:
             "crn": self.crn,
             "labels": list(self.labels),
             "best": feasible[0].to_dict() if feasible else None,
-            "leaders": [e.config.to_dict() for e in self.leaders()],
+            "leaders": [e.config.to_dict() for e in self._leaders(feasible)],
             "entries": [e.to_dict() for e in self.entries],
             "stats": stats,
         }

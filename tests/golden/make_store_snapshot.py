@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.serve import PersistentEvaluationStore, PlanningServer
+from repro.serve import PersistentEvaluationStore, PlanningServer, decode_response
 
 OUT = Path(__file__).with_name("store_snapshot.jsonl")
 ANSWERS = Path(__file__).with_name("store_snapshot_answers.json")
@@ -44,7 +44,9 @@ QUESTIONS = (
 
 def answer(server: PlanningServer, method: str, params: dict) -> dict:
     """One question's result, without its volatile wall-clock stats."""
-    response = server.handle({"jsonrpc": "2.0", "id": 1, "method": method, "params": params})
+    response = decode_response(
+        server.handle({"jsonrpc": "2.0", "id": 1, "method": method, "params": params})
+    )
     result = response["result"]
     result.pop("stats", None)
     return result

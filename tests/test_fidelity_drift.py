@@ -214,10 +214,10 @@ class TestRegistryAndDispatch:
         assert _drift(measured.total, analytic.total) <= DRIFT_TOLERANCES["total"]
 
     def test_server_dispatches_measured(self):
-        from repro.serve import PlanningServer
+        from repro.serve import PlanningServer, decode_response
 
         server = PlanningServer(machine=Machine.summit())
-        resp = server.handle(
+        resp = decode_response(server.handle(
             {
                 "jsonrpc": "2.0",
                 "id": 1,
@@ -231,7 +231,7 @@ class TestRegistryAndDispatch:
                     }
                 },
             }
-        )
+        ))
         assert "error" not in resp, resp
         assert resp["result"]["notes"]["fidelity"] == "measured"
         assert resp["result"]["total"] > 0

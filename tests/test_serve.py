@@ -38,6 +38,7 @@ from repro.serve import (
     PersistentEvaluationStore,
     PlanningServer,
     decode_key,
+    decode_response,
     encode_key,
     serve_stdio,
 )
@@ -581,49 +582,53 @@ class TestPlanningServer:
     def test_every_method_answers(self):
         srv = PlanningServer()
         job = {"model": "gpt3-xl", "n_gpus": 16}
-        plan = srv.handle(_rpc("plan", {"job": job}))
+        plan = decode_response(srv.handle(_rpc("plan", {"job": job})))
         assert plan["result"]["best"] is not None
-        robust = srv.handle(
+        robust = decode_response(srv.handle(
             _rpc("robust_plan", {"job": {**job, "fidelity": "analytic-batch"},
                                  "scenarios": "neutral"})
-        )
+        ))
         assert robust["result"]["best"] is not None
         assert "per_scenario" not in robust["result"]
-        place = srv.handle(_rpc("place", {"job": {"model": "gpt3-2.7b", "n_gpus": 16}}))
+        place = decode_response(
+            srv.handle(_rpc("place", {"job": {"model": "gpt3-2.7b", "n_gpus": 16}}))
+        )
         assert place["result"]["makespan"] <= place["result"]["default_makespan"]
-        breakdown = srv.handle(_rpc("breakdown", {"job": job}))
+        breakdown = decode_response(srv.handle(_rpc("breakdown", {"job": job})))
         assert breakdown["result"]["total"] > 0
-        assert srv.handle(_rpc("ping"))["result"]["ok"]
-        stats = srv.handle(_rpc("stats"))["result"]
+        assert decode_response(srv.handle(_rpc("ping")))["result"]["ok"]
+        stats = decode_response(srv.handle(_rpc("stats")))["result"]
         assert stats["entries"] > 0
-        metrics = srv.handle(_rpc("metrics"))["result"]
+        metrics = decode_response(srv.handle(_rpc("metrics")))["result"]
         assert 'serve.requests{method="plan"}' in metrics["session"]
         assert metrics["store"]["entries"] == stats["entries"]
 
     def test_plan_search_axis_params(self):
         srv = PlanningServer()
-        r = srv.handle(
+        r = decode_response(srv.handle(
             _rpc("plan", {
                 "job": {"model": "gpt3-xl", "n_gpus": 16},
                 "frameworks": ["axonn"],
                 "microbatch_sizes": [1],
                 "explore_no_checkpoint": False,
             })
-        )
+        ))
         rows = r["result"]["evaluations"]
         assert rows and all(e["config"]["framework"] == "axonn" for e in rows)
         assert all(e["config"]["mbs"] == 1 for e in rows)
 
     def test_error_codes(self):
         srv = PlanningServer()
-        assert srv.handle(_rpc("no_such_method"))["error"]["code"] == -32601
-        assert srv.handle({"id": 1})["error"]["code"] == -32700
-        assert srv.handle(_rpc("plan"))["error"]["code"] == -32602
-        bad_job = srv.handle(_rpc("plan", {"job": {"model": "gpt3-xl", "n_gpus": 0}}))
-        assert bad_job["error"]["code"] == -32602
-        bad_params = srv.handle(
-            {"jsonrpc": "2.0", "id": 2, "method": "plan", "params": [1, 2]}
+        assert decode_response(srv.handle(_rpc("no_such_method")))["error"]["code"] == -32601
+        assert decode_response(srv.handle({"id": 1}))["error"]["code"] == -32700
+        assert decode_response(srv.handle(_rpc("plan")))["error"]["code"] == -32602
+        bad_job = decode_response(
+            srv.handle(_rpc("plan", {"job": {"model": "gpt3-xl", "n_gpus": 0}}))
         )
+        assert bad_job["error"]["code"] == -32602
+        bad_params = decode_response(srv.handle(
+            {"jsonrpc": "2.0", "id": 2, "method": "plan", "params": [1, 2]}
+        ))
         assert bad_params["error"]["code"] == -32602
         errors = srv.session.metrics()
         assert errors.get('serve.errors{method="plan"}', 0) >= 2
@@ -631,7 +636,7 @@ class TestPlanningServer:
     def test_shutdown_sets_stop(self):
         srv = PlanningServer()
         assert not srv.stopped
-        assert srv.handle(_rpc("shutdown"))["result"]["stopping"]
+        assert decode_response(srv.handle(_rpc("shutdown")))["result"]["stopping"]
         assert srv.stopped
 
     def test_warm_start_serves_byte_identical_answers(self, tmp_path):
@@ -647,7 +652,7 @@ class TestPlanningServer:
         def answers(server):
             docs = []
             for req in requests:
-                result = server.handle(req)["result"]
+                result = decode_response(server.handle(req))["result"]
                 result.pop("stats")  # wall-seconds/hit counts are volatile
                 docs.append(json.dumps(result, sort_keys=True))
             return docs
@@ -707,7 +712,9 @@ class TestServeStochastic:
 
     def test_mc_robust_plan_answers_and_slims_the_wire(self):
         srv = PlanningServer()
-        result = srv.handle(_rpc("mc_robust_plan", self.MC_PARAMS))["result"]
+        result = decode_response(
+            srv.handle(_rpc("mc_robust_plan", self.MC_PARAMS))
+        )["result"]
         assert result["process"]["name"] == "flaky-links"
         assert result["fidelity"] == "analytic-batch"
         assert result["best"] is not None
@@ -718,20 +725,22 @@ class TestServeStochastic:
 
     def test_replan_answers(self):
         srv = PlanningServer()
-        result = srv.handle(_rpc("replan", {
+        result = decode_response(srv.handle(_rpc("replan", {
             "job": {"model": "gpt3-2.7b", "n_gpus": 16},
             "failure": "skewed",
             "at": 0.3,
-        }))["result"]
+        })))["result"]
         assert result["decision"] == "re-partition"
         assert result["remaining_batches"] == pytest.approx(350.0)
 
     def test_missing_params_are_invalid_params(self):
         srv = PlanningServer()
         job = {"job": {"model": "gpt3-xl", "n_gpus": 16}}
-        assert srv.handle(_rpc("mc_robust_plan", job))["error"]["code"] == -32602
-        assert srv.handle(_rpc("replan", job))["error"]["code"] == -32602
-        bad = srv.handle(_rpc("mc_robust_plan", {**self.MC_PARAMS, "process": "nope"}))
+        assert decode_response(srv.handle(_rpc("mc_robust_plan", job)))["error"]["code"] == -32602
+        assert decode_response(srv.handle(_rpc("replan", job)))["error"]["code"] == -32602
+        bad = decode_response(
+            srv.handle(_rpc("mc_robust_plan", {**self.MC_PARAMS, "process": "nope"}))
+        )
         assert bad["error"]["code"] == -32602
 
     def test_inline_process_document_accepted(self):
@@ -740,8 +749,10 @@ class TestServeStochastic:
         srv = PlanningServer()
         inline = {**self.MC_PARAMS,
                   "process": get_process("flaky-links").to_dict()}
-        by_doc = srv.handle(_rpc("mc_robust_plan", inline))["result"]
-        by_name = srv.handle(_rpc("mc_robust_plan", self.MC_PARAMS))["result"]
+        by_doc = decode_response(srv.handle(_rpc("mc_robust_plan", inline)))["result"]
+        by_name = decode_response(
+            srv.handle(_rpc("mc_robust_plan", self.MC_PARAMS))
+        )["result"]
         by_doc.pop("stats"), by_name.pop("stats")
         assert json.dumps(by_doc, sort_keys=True) == json.dumps(
             by_name, sort_keys=True
@@ -772,7 +783,7 @@ class TestServeStochastic:
         def answers(server):
             docs = []
             for req in requests:
-                result = server.handle(req)["result"]
+                result = decode_response(server.handle(req))["result"]
                 result.pop("stats", None)  # hit counts are volatile
                 docs.append(json.dumps(result, sort_keys=True))
             return docs

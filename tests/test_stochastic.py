@@ -289,6 +289,63 @@ class TestMCRobustPlan:
         mc.entries.append(clone)
         assert sum(1 for e in mc.leaders() if e is clone) >= 1
 
+    @staticmethod
+    def _loop_leaders(mc) -> list:
+        """The per-candidate loop ``leaders()`` used to run: the reference."""
+        ranked = mc.feasible
+        if not ranked:
+            return []
+        base = np.asarray(ranked[0].sample_costs)
+        out = [ranked[0]]
+        for entry in ranked[1:]:
+            d = np.asarray(entry.sample_costs) - base
+            mean_d = float(d.mean())
+            if len(d) > 1:
+                half = 1.96 * float(d.std(ddof=1)) / math.sqrt(len(d))
+            else:
+                half = 0.0
+            if mean_d <= half:
+                out.append(entry)
+        return out
+
+    def test_leaders_match_the_per_candidate_loop(self):
+        """One difference matrix reduced row-wise gives the loop's leaders,
+        and each row's mean and std are bitwise the loop's 1-D ones.
+
+        Real plans rarely tie, so each case also carries noisy copies of
+        its winner, some within the 95% interval and some beyond it, and
+        one exact copy."""
+        import dataclasses
+
+        session = Session(Machine.summit(), cache=EvaluationCache())
+        processes = ("flaky-links", _constant_process(3.0), _constant_process(0.5, 0.4))
+        rng = np.random.default_rng(0)
+        tied = untied = 0
+        for model, n_gpus in (("gpt3-xl", 16), ("gpt3-xl", 64), ("gpt3-2.7b", 32)):
+            for process in processes:
+                for samples, seed in ((1, 0), (2, 5), (8, 2), (33, 7)):
+                    mc = session.mc_robust_plan(
+                        Job(model=model, n_gpus=n_gpus), process,
+                        samples=samples, seed=seed,
+                    )
+                    best = mc.best
+                    scale = 0.01 * best.mean_time
+                    for k in (0.0, 1.0, 3.0):
+                        noise = rng.normal(k * scale / math.sqrt(samples), scale, samples)
+                        costs = tuple((np.asarray(best.sample_costs) + noise).tolist())
+                        mc.entries.append(dataclasses.replace(best, sample_costs=costs))
+                    mc.entries.append(dataclasses.replace(best))  # an exact tie: 0 <= 0
+                    leaders = mc.leaders()
+                    assert [id(e) for e in leaders] == [id(e) for e in self._loop_leaders(mc)]
+                    tied += len(leaders) - 1
+                    untied += len(mc.feasible) - len(leaders)
+                    costs = np.array([e.sample_costs for e in mc.feasible])
+                    d = costs[1:] - costs[0]
+                    assert [row.mean() for row in d] == d.mean(axis=1).tolist()
+                    if samples > 1:
+                        assert [row.std(ddof=1) for row in d] == d.std(axis=1, ddof=1).tolist()
+        assert tied > 0 and untied > 0
+
     def test_report_and_metrics(self):
         session = Session(Machine.summit(), cache=EvaluationCache())
         mc = session.mc_robust_plan(JOB, "flaky-links", samples=4, seed=0)

@@ -71,3 +71,21 @@ def test_loaded_cells_share_one_prefix_object_per_workload(tmp_path):
     prefixes = {key[:-1] for key in store.keys()}
     # one decoded calibration object per distinct key prefix at most
     assert len(calibrations) <= len(prefixes) == store.stats()["prefixes"]
+
+
+def test_loaded_cells_share_configs_and_decompositions(tmp_path):
+    store = PersistentEvaluationStore()
+    store.load(_copy(tmp_path))
+    keys = store.keys()
+    cells = [store.get(key) for key in keys]
+    configs: dict = {}
+    pcfgs: dict = {}
+    for key, ev in zip(keys, cells):
+        configs.setdefault(key[-1], set()).add(id(ev.config))
+        pcfgs.setdefault(ev.breakdown.config, set()).add(id(ev.breakdown.config))
+    # one CandidateConfig per config hash, one ParallelConfig per value
+    assert all(len(ids) == 1 for ids in configs.values())
+    assert all(len(ids) == 1 for ids in pcfgs.values())
+    assert len(configs) < len(cells) and len(pcfgs) < len(configs)
+    # cells are loaded without their wire fragments (made on first encode)
+    assert all(ev.fragment is None for ev in cells)
