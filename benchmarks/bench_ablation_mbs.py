@@ -12,18 +12,20 @@ sits near.
 
 import pytest
 
-from repro.models import get_spec
-from repro.parallel import simulate_batch
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 from repro.reporting import render_table
+
+SAMO = Job(model="gpt3-2.7b", n_gpus=256, framework="axonn+samo")
 
 
 def test_ablation_mbs_sweep(report):
-    spec = get_spec("gpt3-2.7b")
-    g = 256
+    session = Session()
+    g = SAMO.n_gpus
     rows = []
     totals = {}
     for mbs in (1, 2, 4, 8):
-        b = simulate_batch(spec, g, "axonn+samo", mbs=mbs)
+        b = session.breakdown(SAMO.with_(mbs=mbs))
         totals[mbs] = b.total
         rows.append({
             "mbs": mbs,
@@ -38,10 +40,10 @@ def test_ablation_mbs_sweep(report):
         render_table(rows, title=f"Microbatch size sweep, GPT-3 2.7B, {g} GPUs, AxoNN+SAMO"),
     )
     # Eq. 9: message count halves as mbs doubles -> p2p strictly falls.
-    p2ps = [simulate_batch(spec, g, "axonn+samo", mbs=m).p2p for m in (1, 2, 4)]
+    p2ps = [session.breakdown(SAMO.with_(mbs=m)).p2p for m in (1, 2, 4)]
     assert p2ps[0] > p2ps[1] > p2ps[2]
     # Eq. 6-7: bubble grows with mbs (longer per-microbatch stage times).
-    bubbles = [simulate_batch(spec, g, "axonn+samo", mbs=m).bubble for m in (1, 2, 4)]
+    bubbles = [session.breakdown(SAMO.with_(mbs=m)).bubble for m in (1, 2, 4)]
     assert bubbles[0] < bubbles[1] < bubbles[2]
 
 
@@ -49,14 +51,14 @@ def test_ablation_mbs_and_framework(report):
     """The mbs optimum shifts with the framework: dense AxoNN (larger
     G_inter -> deeper pipeline -> costlier bubble) prefers smaller
     microbatches than AxoNN+SAMO at the same GPU count."""
-    spec = get_spec("gpt3-2.7b")
-    g = 256
+    session = Session()
+    g = SAMO.n_gpus
     rows = []
     best = {}
     for fw in ("axonn", "axonn+samo"):
         sweep = {}
         for mbs in (1, 2, 4, 8):
-            sweep[mbs] = simulate_batch(spec, g, fw, mbs=mbs).total
+            sweep[mbs] = session.breakdown(SAMO.with_(framework=fw, mbs=mbs)).total
         best[fw] = min(sweep, key=sweep.get)
         rows.append({
             "framework": fw,
@@ -73,5 +75,9 @@ def test_ablation_mbs_and_framework(report):
 
 
 def test_bench_mbs_sweep(benchmark):
-    spec = get_spec("gpt3-2.7b")
-    benchmark(lambda: [simulate_batch(spec, 256, "axonn+samo", mbs=m).total for m in (1, 2, 4)])
+    def sweep():
+        # a fresh cache per round: stored cells would time cache hits
+        session = Session(Machine(), cache=EvaluationCache())
+        return [session.breakdown(SAMO.with_(mbs=m)).total for m in (1, 2, 4)]
+
+    benchmark(sweep)

@@ -20,11 +20,12 @@ experiments:
 
 import numpy as np
 
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 from repro.cluster import SUMMIT
 from repro.core import samo_breakdown
 from repro.models import get_spec
-from repro.parallel import StorageMode, choose_g_inter, memory_per_gpu, simulate_batch
-from repro.parallel.axonn import _framework_traits
+from repro.parallel import StorageMode, choose_g_inter, memory_per_gpu
 from repro.reporting import format_bytes, render_table
 from repro.sparse import fc_layer_time
 
@@ -85,12 +86,13 @@ def test_ablation_dense_theta16(report):
 
 def test_ablation_sparsity_sweep(report):
     """Speedup of AxoNN+SAMO over AxoNN as sparsity varies (2.7B, 512 GPUs)."""
-    spec = get_spec("gpt3-2.7b")
+    session = Session()
     rows = []
     speedups = []
     for p in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
-        a = simulate_batch(spec, 512, "axonn", sparsity=p)
-        s = simulate_batch(spec, 512, "axonn+samo", sparsity=p)
+        job = Job(model="gpt3-2.7b", n_gpus=512, sparsity=p)
+        a = session.breakdown(job)
+        s = session.breakdown(job.with_(framework="axonn+samo"))
         speedups.append(s.speedup_over(a))
         rows.append({
             "sparsity": p,
@@ -111,6 +113,7 @@ def test_ablation_g_inter_choice(report):
     import dataclasses
 
     spec = get_spec("gpt3-2.7b")
+    job = Job(model="gpt3-2.7b", n_gpus=512, framework="axonn+samo")
     chosen = choose_g_inter(spec, 512, StorageMode.SAMO, 0.9)
     rows = []
     totals = {}
@@ -119,11 +122,11 @@ def test_ablation_g_inter_choice(report):
         feasible = mem <= SUMMIT.gpu_memory_bytes
         # simulate with a calibration whose memory ceiling admits gi
         cal = dataclasses.replace(SUMMIT, gpu_memory_bytes=max(mem + 1, SUMMIT.gpu_memory_bytes))
-        b = simulate_batch(spec, 512, "axonn+samo", cal=cal) if gi == chosen else None
-        # force by constructing directly through the engine with a custom ceiling
+        b = Session(Machine(cal=cal)).breakdown(job) if gi == chosen else None
+        # force by pricing on a machine with a custom memory ceiling
         if b is None or b.config.g_inter != gi:
             cal_forced = dataclasses.replace(SUMMIT, gpu_memory_bytes=mem + 1)
-            b = simulate_batch(spec, 512, "axonn+samo", cal=cal_forced)
+            b = Session(Machine(cal=cal_forced)).breakdown(job)
         totals[gi] = b.total if b.config.g_inter == gi else None
         rows.append({
             "G_inter": gi,
@@ -141,6 +144,11 @@ def test_ablation_g_inter_choice(report):
 
 
 def test_bench_ablation_sweep(benchmark):
-    spec = get_spec("gpt3-2.7b")
-    benchmark(lambda: [simulate_batch(spec, 512, "axonn+samo", sparsity=p).total
-                       for p in (0.5, 0.7, 0.9)])
+    job = Job(model="gpt3-2.7b", n_gpus=512, framework="axonn+samo")
+
+    def sweep():
+        # a fresh cache per round: stored cells would time cache hits
+        session = Session(Machine(), cache=EvaluationCache())
+        return [session.breakdown(job.with_(sparsity=p)).total for p in (0.5, 0.7, 0.9)]
+
+    benchmark(sweep)

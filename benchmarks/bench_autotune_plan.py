@@ -13,7 +13,8 @@ additions to the pure kernel-model functions.
 
 import time
 
-from repro.autotune import EvaluationCache, Planner
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 from repro.models import TABLE_I, get_spec, gpu_counts
 from repro.parallel import StorageMode, choose_g_inter
 from repro.reporting import render_table
@@ -43,7 +44,9 @@ def _recovery_rows(name: str) -> list[dict]:
     spec = get_spec(name)
     rows = []
     for g in gpu_counts(TABLE_I[name]):
-        res = Planner(name, g, cache=EvaluationCache(), **PAPER_PROTOCOL).plan()
+        res = Session(Machine(), cache=EvaluationCache()).plan(
+            Job(model=name, n_gpus=g), **PAPER_PROTOCOL
+        )
         samo, dense = res.best_for("axonn+samo"), res.best_for("axonn")
         paper_samo = choose_g_inter(spec, g, StorageMode.SAMO, 0.9)
         paper_dense = choose_g_inter(spec, g, StorageMode.DENSE)
@@ -76,7 +79,7 @@ def test_planner_recovers_fig6_configs(report):
         assert all(r["SAMO"] == "recovered" for r in rows), name
         assert all(r["dense"] in ("recovered", "faster") for r in rows), name
         assert all(2 <= r["SAMO speedup %"] <= 57 for r in rows), name
-        blocks.append(render_table(rows, title=f"Planner vs paper configs: {name}"))
+        blocks.append(render_table(rows, title=f"Plan search vs paper configs: {name}"))
     report("autotune_recovery_fig6", "\n\n".join(blocks))
 
 
@@ -87,7 +90,7 @@ def test_planner_recovers_fig7_configs(report):
         rows = _recovery_rows(name)
         assert all(r["SAMO"] == "recovered" for r in rows), name
         assert all(r["dense"] == "recovered" for r in rows), name
-        blocks.append(render_table(rows, title=f"Planner vs paper configs: {name}"))
+        blocks.append(render_table(rows, title=f"Plan search vs paper configs: {name}"))
     report("autotune_recovery_fig7", "\n\n".join(blocks))
 
 
@@ -95,10 +98,9 @@ def test_relaxed_protocol_never_slower(report):
     """Opening the space (mbs, checkpointing off) can only help."""
     rows = []
     for g in (128, 256, 512):
-        strict = Planner(
-            "gpt3-2.7b", g, cache=EvaluationCache(), **PAPER_PROTOCOL
-        ).plan()
-        relaxed = Planner("gpt3-2.7b", g, cache=EvaluationCache()).plan()
+        job = Job(model="gpt3-2.7b", n_gpus=g)
+        strict = Session(Machine(), cache=EvaluationCache()).plan(job, **PAPER_PROTOCOL)
+        relaxed = Session(Machine(), cache=EvaluationCache()).plan(job)
         assert relaxed.best.total_time <= strict.best.total_time + 1e-12
         rows.append({
             "GPUs": g,
@@ -119,21 +121,20 @@ def test_memoized_replan_is_instant(report):
     """The ISSUE's acceptance check: a repeated identical search returns
     from the cache without re-evaluating any config."""
     cache = EvaluationCache()
-    p1 = Planner("gpt3-2.7b", 512, cache=cache)
+    job = Job(model="gpt3-2.7b", n_gpus=512)
     t0 = time.perf_counter()
-    p1.plan()
+    r1 = Session(Machine(), cache=cache).plan(job)
     cold = time.perf_counter() - t0
 
-    p2 = Planner("gpt3-2.7b", 512, cache=cache)
     t0 = time.perf_counter()
-    p2.plan()
+    r2 = Session(Machine(), cache=cache).plan(job)
     warm = time.perf_counter() - t0
 
-    assert p2.stats.evaluated == 0
-    assert p2.stats.cache_hits == p1.stats.candidates
+    assert r2.stats.evaluated == 0
+    assert r2.stats.cache_hits == r1.stats.candidates
     note = (
-        f"cold plan: {p1.stats.candidates} candidates evaluated in {cold*1e3:.1f} ms\n"
-        f"warm replan: 0 evaluated, {p2.stats.cache_hits} cache hits, {warm*1e3:.1f} ms\n"
+        f"cold plan: {r1.stats.candidates} candidates evaluated in {cold*1e3:.1f} ms\n"
+        f"warm replan: 0 evaluated, {r2.stats.cache_hits} cache hits, {warm*1e3:.1f} ms\n"
         f"speedup: {cold/warm:.1f}x"
     )
     report("autotune_memoization", note)
@@ -187,7 +188,9 @@ def test_lru_cache_micro_note(report):
 def test_bench_plan_cold(benchmark):
     """pytest-benchmark hook: one full cold search of the 512-GPU space."""
     def cold_plan():
-        return Planner("gpt3-2.7b", 512, cache=EvaluationCache()).plan()
+        return Session(Machine(), cache=EvaluationCache()).plan(
+            Job(model="gpt3-2.7b", n_gpus=512)
+        )
 
     result = benchmark(cold_plan)
     assert result.best.config.framework == "axonn+samo"

@@ -5,20 +5,22 @@ batch 128. The paper annotates AxoNN+SAMO's percentage speedup over AxoNN:
 7-15% for WideResnet, 18-44% for VGG.
 """
 
-from repro.models import TABLE_I, get_spec, gpu_counts
-from repro.parallel import simulate_batch
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
+from repro.models import TABLE_I, gpu_counts
 from repro.reporting import log2_axis_plot, render_table
 
 
 def _sweep(name, report):
-    spec = get_spec(name)
+    session = Session()
     counts = gpu_counts(TABLE_I[name])
     rows, series = [], {"DeepSpeed-3D": [], "AxoNN": [], "AxoNN+SAMO": []}
     speedups = []
     for g in counts:
-        d = simulate_batch(spec, g, "deepspeed-3d")
-        a = simulate_batch(spec, g, "axonn")
-        s = simulate_batch(spec, g, "axonn+samo")
+        job = Job(model=name, n_gpus=g)
+        d = session.breakdown(job.with_(framework="deepspeed-3d"))
+        a = session.breakdown(job)
+        s = session.breakdown(job.with_(framework="axonn+samo"))
         speedups.append(s.speedup_over(a))
         series["DeepSpeed-3D"].append(d.total * 1e3)
         series["AxoNN"].append(a.total * 1e3)
@@ -50,5 +52,6 @@ def test_figure5_vgg19(report):
 
 
 def test_bench_cnn_simulation(benchmark):
-    spec = get_spec("vgg19")
-    benchmark(simulate_batch, spec, 128, "axonn+samo")
+    # a fresh cache per round: a stored cell would time a cache hit
+    job = Job(model="vgg19", n_gpus=128, framework="axonn+samo")
+    benchmark(lambda: Session(Machine(), cache=EvaluationCache()).breakdown(job))

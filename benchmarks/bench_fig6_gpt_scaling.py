@@ -5,8 +5,9 @@ AxoNN+SAMO. Paper annotations of SAMO-over-AxoNN speedup: XL 10/21/34/47%,
 2.7B 10/19/27/34%.
 """
 
-from repro.models import TABLE_I, get_spec, gpu_counts
-from repro.parallel import FRAMEWORKS, simulate_batch
+from repro.api import Job, Machine, Session
+from repro.autotune import FRAMEWORKS, EvaluationCache
+from repro.models import TABLE_I, gpu_counts
 from repro.reporting import log2_axis_plot, render_table
 
 PAPER_ANNOTATIONS = {
@@ -16,12 +17,15 @@ PAPER_ANNOTATIONS = {
 
 
 def gpt_sweep(name, report, tag):
-    spec = get_spec(name)
+    session = Session()
     counts = gpu_counts(TABLE_I[name])
     rows, series = [], {fw: [] for fw in FRAMEWORKS}
     speedups = {}
     for g in counts:
-        res = {fw: simulate_batch(spec, g, fw) for fw in FRAMEWORKS}
+        res = {
+            fw: session.breakdown(Job(model=name, n_gpus=g, framework=fw))
+            for fw in FRAMEWORKS
+        }
         speedups[g] = res["axonn+samo"].speedup_over(res["axonn"])
         for fw in FRAMEWORKS:
             series[fw].append(res[fw].total)
@@ -57,5 +61,6 @@ def test_figure6_gpt3_2p7b(report):
 
 
 def test_bench_hybrid_simulation(benchmark):
-    spec = get_spec("gpt3-2.7b")
-    benchmark(simulate_batch, spec, 512, "axonn+samo")
+    # a fresh cache per round: a stored cell would time a cache hit
+    job = Job(model="gpt3-2.7b", n_gpus=512, framework="axonn+samo")
+    benchmark(lambda: Session(Machine(), cache=EvaluationCache()).breakdown(job))

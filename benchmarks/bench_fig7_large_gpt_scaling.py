@@ -3,8 +3,8 @@
 """
 
 from benchmarks.bench_fig6_gpt_scaling import gpt_sweep
-from repro.models import get_spec
-from repro.parallel import simulate_batch
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 
 PAPER = {
     "gpt3-6.7b": {128: 11, 256: 16, 512: 22, 1024: 23},
@@ -26,5 +26,6 @@ def test_figure7_gpt3_13b(report):
 
 
 def test_bench_largest_configuration(benchmark):
-    spec = get_spec("gpt3-13b")
-    benchmark(simulate_batch, spec, 2048, "axonn+samo")
+    # a fresh cache per round: a stored cell would time a cache hit
+    job = Job(model="gpt3-13b", n_gpus=2048, framework="axonn+samo")
+    benchmark(lambda: Session(Machine(), cache=EvaluationCache()).breakdown(job))

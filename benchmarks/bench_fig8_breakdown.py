@@ -8,17 +8,18 @@ collective improvements dominate (15% and 21%) while p2p fades (4%); the
 compression overhead is 8-12%.
 """
 
-from repro.models import get_spec
-from repro.parallel import simulate_batch
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 from repro.reporting import render_table
 
 
 def test_figure8_breakdown(report):
-    spec = get_spec("gpt3-2.7b")
+    session = Session()
     rows, narrative = [], []
     for g in (128, 256, 512):
-        a = simulate_batch(spec, g, "axonn")
-        s = simulate_batch(spec, g, "axonn+samo")
+        job = Job(model="gpt3-2.7b", n_gpus=g)
+        a = session.breakdown(job)
+        s = session.breakdown(job.with_(framework="axonn+samo"))
         for label, b in (("A=AxoNN", a), ("B=AxoNN+SAMO", s)):
             rows.append(
                 {
@@ -44,25 +45,27 @@ def test_figure8_breakdown(report):
     report("fig8_breakdown", table + "\n\n" + "\n".join(narrative))
 
     # Qualitative assertions from the paper's Section VI-C.
-    a128 = simulate_batch(spec, 128, "axonn")
-    s128 = simulate_batch(spec, 128, "axonn+samo")
+    job = Job(model="gpt3-2.7b", n_gpus=128)
+    a128 = session.breakdown(job)
+    s128 = session.breakdown(job.with_(framework="axonn+samo"))
     p2p_sav = (a128.p2p - s128.p2p) / a128.total
     other_sav = (a128.bubble - s128.bubble + a128.collective - s128.collective) / a128.total
     assert p2p_sav > other_sav  # p2p dominates at 128 GPUs
 
-    a512 = simulate_batch(spec, 512, "axonn")
-    s512 = simulate_batch(spec, 512, "axonn+samo")
+    job = Job(model="gpt3-2.7b", n_gpus=512)
+    a512 = session.breakdown(job)
+    s512 = session.breakdown(job.with_(framework="axonn+samo"))
     assert (a512.p2p - s512.p2p) / a512.total < 0.10  # p2p fades at 512
     total_comm_red = (a512.communication - s512.communication) / a512.total
     assert 0.15 < total_comm_red < 0.45  # paper: 40%
 
 
 def test_bench_breakdown_sweep(benchmark):
-    spec = get_spec("gpt3-2.7b")
-
     def sweep():
+        # a fresh cache per round: stored cells would time cache hits
+        session = Session(Machine(), cache=EvaluationCache())
         return [
-            simulate_batch(spec, g, fw)
+            session.breakdown(Job(model="gpt3-2.7b", n_gpus=g, framework=fw))
             for g in (128, 256, 512)
             for fw in ("axonn", "axonn+samo")
         ]

@@ -19,10 +19,10 @@ from __future__ import annotations
 import heapq
 import time
 
-from repro.models import get_spec
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 from repro.obs import MetricsRegistry, Tracer, observed
 from repro.cluster.events import EventLoop
-from repro.parallel import simulate_batch
 
 N_EVENTS = 100_000
 REPEATS = 7
@@ -75,16 +75,16 @@ def test_disabled_overhead_under_budget(report):
     base, instr = _measure()
     overhead = instr / base - 1.0
 
-    # macro scale: one sim-fidelity breakdown, disabled vs enabled
-    spec = get_spec("gpt3-2.7b")
-    kwargs = dict(scenario="degraded-ring", overlap=True)
+    # macro scale: one sim-fidelity breakdown, disabled vs enabled, each
+    # priced on a fresh cache (a stored cell would time a cache hit)
+    job = Job(model="gpt3-2.7b", n_gpus=128, overlap=True)
     t0 = time.perf_counter()
-    disabled = simulate_batch(spec, 128, "axonn", **kwargs)
+    disabled = Session(Machine(), EvaluationCache()).breakdown(job, scenario="degraded-ring")
     t_disabled = time.perf_counter() - t0
     tracer, registry = Tracer(), MetricsRegistry()
     with observed(tracer=tracer, metrics=registry):
         t0 = time.perf_counter()
-        enabled = simulate_batch(spec, 128, "axonn", **kwargs)
+        enabled = Session(Machine(), EvaluationCache()).breakdown(job, scenario="degraded-ring")
         t_enabled = time.perf_counter() - t0
     assert enabled.total == disabled.total  # enabled never moves a number
 

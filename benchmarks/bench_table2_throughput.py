@@ -11,8 +11,9 @@ the paper's fair-comparison convention. Paper values:
     2048   12.2     20.6          22.9   31.0
 """
 
-from repro.models import get_spec, narayanan_transformer_flops, percent_of_peak
-from repro.parallel import FRAMEWORKS, simulate_batch
+from repro.api import Job, Machine, Session
+from repro.autotune import FRAMEWORKS, EvaluationCache
+from repro.models import narayanan_transformer_flops, percent_of_peak
 from repro.reporting import render_table
 
 PAPER = {
@@ -24,13 +25,14 @@ PAPER = {
 
 
 def test_table2(report):
-    spec = get_spec("gpt3-13b")
+    session = Session()
     flops = narayanan_transformer_flops(2048, 2048, 40, 5120, 50257)
     rows = []
     measured = {}
     for g in (256, 512, 1024, 2048):
+        job = Job(model="gpt3-13b", n_gpus=g)
         pct = {
-            fw: percent_of_peak(flops, simulate_batch(spec, g, fw).total, g)
+            fw: percent_of_peak(flops, session.breakdown(job.with_(framework=fw)).total, g)
             for fw in FRAMEWORKS
         }
         measured[g] = pct
@@ -55,12 +57,19 @@ def test_table2(report):
 
 
 def test_bench_throughput_table(benchmark):
-    spec = get_spec("gpt3-13b")
     flops = narayanan_transformer_flops(2048, 2048, 40, 5120, 50257)
-    benchmark(
-        lambda: [
-            percent_of_peak(flops, simulate_batch(spec, g, fw).total, g)
+
+    def table():
+        # a fresh cache per round: stored cells would time cache hits
+        session = Session(Machine(), cache=EvaluationCache())
+        return [
+            percent_of_peak(
+                flops,
+                session.breakdown(Job(model="gpt3-13b", n_gpus=g, framework=fw)).total,
+                g,
+            )
             for g in (256, 2048)
             for fw in FRAMEWORKS
         ]
-    )
+
+    benchmark(table)

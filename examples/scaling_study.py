@@ -5,20 +5,22 @@ Sweeps GPT-3 2.7B from 64 to 512 GPUs across all four frameworks, prints
 the Figure 6 series, the Figure 8 batch-time breakdown, and the G_inter
 decomposition SAMO's memory savings unlock.
 
-Run:  python examples/strong_scaling_study.py [model]
+Run:  python examples/scaling_study.py [model]
       model in {gpt3-xl, gpt3-2.7b, gpt3-6.7b, gpt3-13b}; default 2.7B.
 """
 
 import sys
 
+from repro.api import Job, Session
+from repro.autotune import FRAMEWORKS
 from repro.models import TABLE_I, get_spec, gpu_counts, narayanan_transformer_flops, percent_of_peak
-from repro.parallel import FRAMEWORKS, simulate_batch
 from repro.reporting import log2_axis_plot, render_table
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "gpt3-2.7b"
     spec = get_spec(name)
+    session = Session()
     entry = TABLE_I[name]
     counts = gpu_counts(entry)
     print(spec.summary())
@@ -26,7 +28,10 @@ def main() -> None:
     # --- Figure 6/7 style sweep -----------------------------------------------
     rows, series = [], {fw: [] for fw in FRAMEWORKS}
     for g in counts:
-        res = {fw: simulate_batch(spec, g, fw) for fw in FRAMEWORKS}
+        res = {
+            fw: session.breakdown(Job(model=name, n_gpus=g, framework=fw))
+            for fw in FRAMEWORKS
+        }
         for fw in FRAMEWORKS:
             series[fw].append(res[fw].total)
         rows.append({
@@ -42,8 +47,8 @@ def main() -> None:
     print()
     decomp = []
     for g in counts:
-        a = simulate_batch(spec, g, "axonn")
-        s = simulate_batch(spec, g, "axonn+samo")
+        a = session.breakdown(Job(model=name, n_gpus=g))
+        s = session.breakdown(Job(model=name, n_gpus=g, framework="axonn+samo"))
         decomp.append({
             "GPUs": g,
             "AxoNN G_inter x G_data": f"{a.config.g_inter} x {a.config.g_data}",
@@ -58,7 +63,7 @@ def main() -> None:
     br = []
     for g in counts[-3:]:
         for fw in ("axonn", "axonn+samo"):
-            b = simulate_batch(spec, g, fw)
+            b = session.breakdown(Job(model=name, n_gpus=g, framework=fw))
             br.append({
                 "GPUs": g, "framework": fw,
                 "compute": f"{b.compute:.2f}", "p2p": f"{b.p2p:.2f}",
@@ -75,7 +80,8 @@ def main() -> None:
         g = counts[-1]
         print()
         for fw in FRAMEWORKS:
-            pct = percent_of_peak(flops, simulate_batch(spec, g, fw).total, g)
+            b = session.breakdown(Job(model=name, n_gpus=g, framework=fw))
+            pct = percent_of_peak(flops, b.total, g)
             print(f"  % of peak fp16 at {g} GPUs, {fw:12s}: {pct:.1f}%")
 
 

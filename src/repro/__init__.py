@@ -22,8 +22,8 @@ Subpackages
 ``repro.comm``
     Thread-rank communicator with MPI semantics (functional parallelism).
 ``repro.parallel``
-    AxoNN / AxoNN+SAMO / DeepSpeed-3D / Sputnik batch simulators,
-    pipeline schedules, partitioner, Eqs. 6-11.
+    The pieces of the AxoNN / AxoNN+SAMO / DeepSpeed-3D / Sputnik batch
+    model: pipeline schedules, partitioner, Eqs. 6-11, scenarios.
 ``repro.train``
     Mixed-precision trainer, synthetic corpora, metrics (Fig 4).
 ``repro.reporting``
@@ -40,8 +40,8 @@ Subpackages
     value objects consumed by a ``Session`` facade
     (``breakdown``/``trace``/``plan``/``robust_plan``) over every
     cost-model entry point, with robust planning across weighted
-    scenario distributions. The legacy surfaces above remain as thin
-    wrappers.
+    scenario distributions. Every priced answer, a breakdown included,
+    is a cell of one evaluation cache.
 ``repro.obs``
     Observability: span tracer + metrics registry behind no-op
     defaults, Chrome ``trace_event`` export (Perfetto-loadable), and

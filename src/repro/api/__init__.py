@@ -1,9 +1,7 @@
 """``repro.api`` — the canonical front door to the cost model.
 
-One session facade over every entry point the repo grew across PRs 1-3
-(``simulate_batch`` kwargs, ``Planner``'s constructor, CLI preset
-strings), built from three frozen, hashable, serializable value
-objects::
+One session facade over every cost-model question, built from three
+frozen, hashable, serializable value objects::
 
     from repro.api import Job, Machine, Session
 
@@ -26,8 +24,8 @@ objects::
 
 New costing backends plug in through
 :func:`~repro.autotune.estimator.register_estimator` instead of editing
-a factory. The legacy entry points keep working as thin wrappers over
-:class:`Session`.
+a factory. The CLI and the planning server ask through :class:`Session`
+too.
 """
 
 from ..autotune.estimator import (

@@ -1,17 +1,17 @@
 """The workload half of a costing question, as one frozen value object.
 
-A :class:`Job` replaces the kwarg soup the legacy entry points threaded
-ad hoc (``simulate_batch(spec, n_gpus, framework, sparsity, mbs,
-pipeline_fidelity, scenario, partition_mode)``, ``Planner(...)``'s
-overlapping constructor, CLI flag strings): everything that identifies
-*what* is being trained and *how it should be costed* lives here,
-hashable, serializable, and validated once at construction.
+Everything that identifies *what* is being trained and *how it should
+be costed* lives in a :class:`Job`: hashable, serializable, and
+validated once at construction.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+
+from ..autotune.config import FRAMEWORKS
+from ..parallel.scenarios import PLACEMENTS
 
 __all__ = ["Job"]
 
@@ -71,16 +71,12 @@ class Job:
             )
         # the engine owns the placement vocabulary; validating against it
         # here keeps Job and simulate_hetero_pipeline from ever drifting
-        from ..parallel.scenarios import PLACEMENTS  # deferred: parallel wraps the api
-
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"unknown placement {self.placement!r}; choose from {PLACEMENTS}"
             )
         if not isinstance(self.overlap, bool):
             raise ValueError(f"overlap must be a bool, got {self.overlap!r}")
-        from ..parallel.axonn import FRAMEWORKS  # deferred: axonn wraps the api
-
         if self.framework not in FRAMEWORKS:
             raise ValueError(
                 f"unknown framework {self.framework!r}; choose from {FRAMEWORKS}"

@@ -71,8 +71,7 @@ class Machine:
 
         The resolved calibration *is* the machine for costing purposes
         (``name`` is a label), and returning it keeps Machine-derived
-        keys compatible with legacy call sites that pass a bare
-        calibration.
+        keys equal to those of callers that pass a bare calibration.
         """
         return self.cal
 

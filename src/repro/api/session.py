@@ -1,16 +1,14 @@
 """The one front door to every cost-model entry point.
 
 ``Session`` binds a :class:`~repro.api.Machine` to an evaluation cache
-and answers the questions the legacy surface scattered over
-``simulate_batch`` kwargs, ``Planner``'s constructor, and CLI presets:
+and answers every cost-model question:
 
 * :meth:`Session.breakdown` — the Figure-8 phase breakdown of one
-  :class:`~repro.api.Job` (what ``simulate_batch`` computed);
+  :class:`~repro.api.Job`;
 * :meth:`Session.trace` — the event-driven 1F1B schedule trace of the
   job's pipeline (warmup/drain, message waits, per-replica placement);
-* :meth:`Session.plan` — search the hybrid-parallel configuration space
-  (what ``Planner`` ran), cache keys derived from the frozen
-  Job/Machine value objects;
+* :meth:`Session.plan` — search the hybrid-parallel configuration space,
+  cache keys derived from the frozen Job/Machine value objects;
 * :meth:`Session.robust_plan` — rank configurations by *expected* cost
   over a weighted :class:`~repro.api.ScenarioSet`, reporting worst-case
   cost alongside; evaluations are shared per (config, scenario) pair
@@ -30,8 +28,12 @@ event-timeline exposure behind the pipeline drain, and
 ``placement="best"`` prices the pipeline at the optimized replica
 placement.
 
-The legacy entry points (``simulate_batch``, ``Planner``, ``plan()``,
-the CLI subcommands) remain as thin wrappers over this facade.
+Every priced answer goes through one path: the question's candidates ×
+scenario columns are claimed from the session cache as one request,
+the misses are priced by the fidelity's registered estimator, and the
+cells are published for every later question (:meth:`Session._claim`).
+A breakdown is a one-cell request for the job's paper-protocol
+candidate, so it is the same cell a plan of that workload prices.
 """
 
 from __future__ import annotations
@@ -45,20 +47,14 @@ import numpy as np
 
 from ..models.registry import get_spec
 from ..models.spec import ModelSpec
-from ..parallel.axonn import (
-    FRAMEWORKS,
-    _breakdown_engine,
-    _framework_traits,
-    _gpt_decomposition,
-)
-from ..parallel.perf_model import BatchBreakdown
+from ..parallel.perf_model import BatchBreakdown, microbatches_per_gpu
 from ..parallel.pipeline import PipelineTrace
 from ..parallel.placement import PlacementResult, place_replicas
 from ..parallel.scenarios import resolve_fidelity, simulate_hetero_pipeline
 from ..autotune.cache import GLOBAL_CACHE, Claim, EvaluationCache, cache_key_prefix
-from ..autotune.config import CandidateConfig
-from ..autotune.estimator import CostEstimator, make_estimator
-from ..autotune.result import PlanResult
+from ..autotune.config import FRAMEWORKS, CandidateConfig, candidate_for_workload
+from ..autotune.estimator import AnalyticEstimator, CostEstimator, make_estimator
+from ..autotune.result import PlannerStats, PlanResult
 from ..autotune.space import CandidateMemo, SearchSpace
 from ..obs import OBS, MetricsRegistry, Tracer, write_chrome_trace
 from ..reporting.tables import format_bytes, render_table
@@ -306,7 +302,7 @@ class Session:
     # -- shared plumbing ----------------------------------------------------
     def _resolve_spec(self, job: Job, spec: ModelSpec | None) -> ModelSpec:
         """The job's registered model, or an explicit spec override
-        (the escape hatch legacy wrappers use for unregistered specs)."""
+        (the escape hatch for unregistered specs)."""
         return spec if spec is not None else get_spec(job.model)
 
     # -- single-config questions -------------------------------------------
@@ -314,6 +310,12 @@ class Session:
         self, job: Job, scenario=None, *, spec: ModelSpec | None = None
     ) -> BatchBreakdown:
         """Figure-8 phase breakdown of one training batch of ``job``.
+
+        The job's paper-protocol candidate
+        (:func:`~repro.autotune.config.candidate_for_workload`) priced by
+        the job's estimator as a one-cell request through the session
+        cache: a breakdown asked again, or after a plan of the same
+        workload, is a cache hit.
 
         >>> from repro.api import Job, Machine, Session
         >>> b = Session(Machine.summit()).breakdown(
@@ -328,26 +330,6 @@ class Session:
             job.fidelity, scenario, overlap=job.overlap, placement=job.placement
         )
         with self._op("breakdown"):
-            if fidelity in ("analytic", "sim"):
-                return _breakdown_engine(
-                    spec,
-                    n_gpus=job.n_gpus,
-                    framework=job.framework,
-                    sparsity=job.sparsity,
-                    mbs=job.mbs,
-                    cal=self.machine.cal,
-                    fidelity=fidelity,
-                    scenario=scenario,
-                    partition_mode=job.partition_mode,
-                    overlap=job.overlap,
-                    placement=job.placement,
-                )
-            # registry fidelities (measured, analytic-batch, plugins):
-            # price the job's paper-protocol decomposition through the
-            # registered estimator instead of the legacy engine switch
-            from ..autotune.drift import candidate_for_workload
-            from ..autotune.estimator import make_estimator
-
             estimator = make_estimator(
                 fidelity,
                 spec,
@@ -357,15 +339,40 @@ class Session:
                 overlap=job.overlap,
                 placement=job.placement,
             )
-            config = candidate_for_workload(
-                spec,
-                job.framework,
-                job.n_gpus,
-                sparsity=job.sparsity,
-                mbs=job.mbs,
-                cal=self.machine.cal,
+            config = self._candidate(job, spec)
+            claim = self._claim(
+                spec, [config], estimator, [getattr(estimator, "scenario", None)],
+                job.partition_mode,
             )
-            return estimator.evaluate(config).breakdown
+            return claim.values[0].breakdown
+
+    def _candidate(self, job: Job, spec: ModelSpec) -> CandidateConfig:
+        return candidate_for_workload(
+            spec, job.framework, job.n_gpus,
+            sparsity=job.sparsity, mbs=job.mbs, cal=self.machine.cal,
+        )
+
+    def _pipeline(self, job: Job, spec: ModelSpec, what: str) -> dict:
+        """The event-engine arguments of the job's paper-protocol
+        pipeline, shared by :meth:`trace` and :meth:`place`."""
+        if spec.family == "cnn":
+            raise ValueError(
+                f"{spec.name} runs pure data parallel (no pipeline to {what})"
+            )
+        cal = self.machine.cal
+        config = self._candidate(job, spec)
+        t_f, t_b = AnalyticEstimator(spec, cal)._stage_times(config)
+        return dict(
+            g_inter=config.g_inter,
+            m=microbatches_per_gpu(spec.batch_size, config.g_data, config.mbs),
+            mbs=job.mbs,
+            t_f_model=t_f * config.g_inter,
+            t_b_model=t_b * config.g_inter,
+            n_gpus=job.n_gpus,
+            cal=cal,
+            blocking_sends=job.framework == "deepspeed-3d",
+            partition_mode=job.partition_mode,
+        )
 
     def trace(
         self, job: Job, scenario=None, *, spec: ModelSpec | None = None
@@ -395,29 +402,10 @@ class Session:
                 f"unknown pipeline_fidelity {fidelity!r}; "
                 "choose 'analytic' or 'sim'"
             )
-        if spec.family == "cnn":
-            raise ValueError(
-                f"{spec.name} runs pure data parallel (no pipeline to trace)"
-            )
-        traits = _framework_traits(job.framework)
-        cal = self.machine.cal
-        g_inter, _g_data, m, t_f, t_b = _gpt_decomposition(
-            spec, traits, job.n_gpus, job.sparsity, job.mbs, cal
-        )
+        pipeline = self._pipeline(job, spec, "trace")
         with self._op("trace"):
             return simulate_hetero_pipeline(
-                spec,
-                g_inter=g_inter,
-                m=m,
-                mbs=job.mbs,
-                t_f_model=t_f * g_inter,
-                t_b_model=t_b * g_inter,
-                n_gpus=job.n_gpus,
-                cal=cal,
-                scenario=scenario,
-                blocking_sends=job.framework == "deepspeed-3d",
-                partition_mode=job.partition_mode,
-                placement=job.placement,
+                spec, scenario=scenario, placement=job.placement, **pipeline
             )
 
     def place(
@@ -450,29 +438,10 @@ class Session:
             job.fidelity, scenario, default="sim",
             overlap=job.overlap, placement=job.placement,
         )
-        if spec.family == "cnn":
-            raise ValueError(
-                f"{spec.name} runs pure data parallel (no pipeline to place)"
-            )
-        traits = _framework_traits(job.framework)
-        cal = self.machine.cal
-        g_inter, _g_data, m, t_f, t_b = _gpt_decomposition(
-            spec, traits, job.n_gpus, job.sparsity, job.mbs, cal
-        )
+        pipeline = self._pipeline(job, spec, "place")
         with self._op("place"):
             return place_replicas(
-                spec,
-                g_inter=g_inter,
-                m=m,
-                mbs=job.mbs,
-                t_f_model=t_f * g_inter,
-                t_b_model=t_b * g_inter,
-                n_gpus=job.n_gpus,
-                cal=cal,
-                scenario=scenario,
-                blocking_sends=job.framework == "deepspeed-3d",
-                partition_mode=job.partition_mode,
-                swap_sweeps=swap_sweeps,
+                spec, scenario=scenario, swap_sweeps=swap_sweeps, **pipeline
             )
 
     # -- search questions ---------------------------------------------------
@@ -761,7 +730,7 @@ class Session:
                 spec=spec,
             )
 
-    # -- the search loop (shared with the legacy Planner) -------------------
+    # -- the search loop ----------------------------------------------------
     def _space(
         self,
         job: Job,
@@ -793,45 +762,22 @@ class Session:
         """Enumerate, claim, price, publish: one :class:`PlanResult` per
         scenario column.
 
-        The candidates × columns matrix goes through the cache as one
-        request (:meth:`EvaluationCache.acquire`): hits come back as
-        stored, cells another request is pricing are waited on, and the
-        cells this request owns are priced (:meth:`_price`) and
-        published with :meth:`EvaluationCache.fulfil`. A plan is a
-        one-column matrix under its estimator's own scenario. Every
-        column lists its evaluations in candidate order whatever the
-        cache held, so tied times rank the same way every time.
+        A plan is a one-column matrix under its estimator's own
+        scenario (:meth:`_claim`). Every column lists its evaluations in
+        candidate order whatever the cache held, so tied times rank the
+        same way every time.
         """
-        from ..autotune.search import PlannerStats  # deferred: search wraps the api
-
         t0 = time.perf_counter()
         fidelity = estimator.fidelity
         candidates = self._spaces.candidates(space)
-        claim = self.cache.acquire(
-            [
-                cache_key_prefix(self.machine, spec, fidelity, column, partition_mode)
-                for column in columns
-            ],
-            [config.canonical_hash() for config in candidates],
-        )
+        claim = self._claim(spec, candidates, estimator, columns, partition_mode)
+        values = claim.values
         metrics = OBS.metrics
-        n_cells = len(claim.values)
-        waiting = claim.waiting
-        n_misses = len(claim.owned) + waiting
+        n_cells = len(values)
+        n_misses = len(claim.owned) + claim.waiting
         metrics.counter("planner.candidates").inc(n_cells)
         metrics.counter("planner.cache.hits").inc(n_cells - n_misses)
         metrics.counter("planner.cache.misses").inc(n_misses)
-        if waiting:
-            metrics.counter("serve.inflight_coalesced").inc(waiting)
-        if claim.owned:
-            try:
-                self._price(claim, candidates, estimator, columns)
-            except BaseException as err:
-                # wake coalesced waiters instead of hanging them
-                self.cache.abandon(claim, err)
-                raise
-            self.cache.fulfil(claim)
-        values = claim.wait()
 
         n_cols = len(columns)
         evaluated = [0] * n_cols
@@ -856,6 +802,45 @@ class Session:
             )
             for j in range(n_cols)
         ]
+
+    def _claim(
+        self,
+        spec: ModelSpec,
+        candidates: list,
+        estimator: CostEstimator,
+        columns: list,
+        partition_mode: str,
+    ) -> Claim:
+        """Claim, price, publish the candidates × columns cells.
+
+        The matrix goes through the cache as one request
+        (:meth:`EvaluationCache.acquire`): hits come back as stored,
+        cells another request is pricing are waited on, and the cells
+        this request owns are priced (:meth:`_price`) and published with
+        :meth:`EvaluationCache.fulfil`. Returns the claim, its
+        ``values`` filled row-major.
+        """
+        claim = self.cache.acquire(
+            [
+                cache_key_prefix(
+                    self.machine, spec, estimator.fidelity, column, partition_mode
+                )
+                for column in columns
+            ],
+            [config.canonical_hash() for config in candidates],
+        )
+        if claim.waiting:
+            OBS.metrics.counter("serve.inflight_coalesced").inc(claim.waiting)
+        if claim.owned:
+            try:
+                self._price(claim, candidates, estimator, columns)
+            except BaseException as err:
+                # wake coalesced waiters instead of hanging them
+                self.cache.abandon(claim, err)
+                raise
+            self.cache.fulfil(claim)
+        claim.wait()
+        return claim
 
     def _price(
         self, claim: Claim, candidates, estimator: CostEstimator, columns: list

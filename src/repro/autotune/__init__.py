@@ -12,8 +12,9 @@ memory budget:
 * :class:`AnalyticEstimator` / :class:`SimulatorEstimator` — the
   existing memory model (Eqs. 1-5), performance model (Eqs. 6-11) and
   event-driven pipeline simulator behind one ``evaluate`` interface;
-* :class:`Planner` — memoised (canonical config hash), single-flight
-  search;
+* :class:`EvaluationCache` — priced cells keyed on (machine, model,
+  fidelity, scenario, config), shared by every
+  :class:`repro.api.Session` question;
 * :class:`PlanResult` — best config, the (throughput, memory/GPU)
   Pareto frontier, and a Figure 8-style "why" breakdown.
 
@@ -29,10 +30,15 @@ from .cache import (
     GLOBAL_CACHE,
     EvaluationCache,
     evaluation_cache_key,
-    make_cache_key,
     spec_signature,
 )
-from .config import FRAMEWORK_MODES, SPARSE_MODES, CandidateConfig
+from .config import (
+    FRAMEWORK_MODES,
+    FRAMEWORKS,
+    SPARSE_MODES,
+    CandidateConfig,
+    candidate_for_workload,
+)
 from .estimator import (
     AnalyticEstimator,
     CostEstimator,
@@ -52,12 +58,13 @@ from .measured import (
     measure_comm_samples,
     replay_events,
 )
-from .result import PlanResult
-from .search import Planner, PlannerStats, plan
+from .result import PlannerStats, PlanResult
 from .space import SearchSpace, SpaceStats
 
 __all__ = [
     "CandidateConfig",
+    "candidate_for_workload",
+    "FRAMEWORKS",
     "FRAMEWORK_MODES",
     "SPARSE_MODES",
     "SearchSpace",
@@ -85,11 +92,8 @@ __all__ = [
     "candidate_memory_per_gpu",
     "EvaluationCache",
     "GLOBAL_CACHE",
-    "make_cache_key",
     "evaluation_cache_key",
     "spec_signature",
-    "Planner",
     "PlannerStats",
-    "plan",
     "PlanResult",
 ]

@@ -638,6 +638,8 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
         fwd = spec.fwd_flops_per_sample()
         compute = 3.0 * fwd * spg_f / (self.device.peak_flops * eff)
         backward = compute * 2.0 / 3.0
+        # SAMO's compression gather, one microbatch per data-parallel batch
+        overhead = np.array([self._compress_overhead(c, 1) for c in configs])
 
         raw = self._dp_collective(self._gradient_bytes(configs), n_gpus, columns)
         frac = cal.dp_overlap_fraction
@@ -661,7 +663,7 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
             fidelity=self.fidelity,
             batch_size=B,
             model=spec.name,
-            compute=grid(compute),
+            compute=grid(compute + overhead),
             p2p=np.zeros((n, n_s)),
             bubble=np.zeros((n, n_s)),
             collective=coll,

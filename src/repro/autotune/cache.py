@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from ..cluster.calibration import SummitCalibration
 from ..models.spec import ModelSpec
 from .config import CandidateConfig
 from .estimator import Evaluation
@@ -42,7 +41,6 @@ __all__ = [
     "spec_signature",
     "cache_key_prefix",
     "evaluation_cache_key",
-    "make_cache_key",
 ]
 
 
@@ -84,8 +82,8 @@ def evaluation_cache_key(
 
     Derived from the frozen value objects rather than hand-assembled at
     each call site: ``machine`` is an :class:`repro.api.Machine` (its
-    :meth:`canonical_key` — a plain ``SummitCalibration`` is accepted for
-    the legacy entry points), the model contributes its
+    :meth:`canonical_key` — a plain ``SummitCalibration`` gives the
+    same key), the model contributes its
     :func:`spec_signature`, the config its canonical hash, and
     ``scenario`` the full frozen
     :class:`~repro.parallel.scenarios.ClusterScenario` (not just its
@@ -96,22 +94,6 @@ def evaluation_cache_key(
     """
     prefix = cache_key_prefix(machine, spec, fidelity, scenario, partition_mode)
     return (*prefix, config.canonical_hash())
-
-
-def make_cache_key(
-    spec: ModelSpec,
-    cal: SummitCalibration,
-    fidelity: str,
-    config: CandidateConfig,
-    scenario=None,
-) -> tuple:
-    """Legacy key builder; prefer :func:`evaluation_cache_key`.
-
-    Kept so callers holding a bare calibration produce keys compatible
-    with the :class:`~repro.api.Machine`-derived ones (a ``Machine``'s
-    canonical key *is* its resolved calibration).
-    """
-    return evaluation_cache_key(cal, spec, fidelity, config, scenario=scenario)
 
 
 class Flight:

@@ -15,17 +15,26 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
-from ..parallel.partitioner import StorageMode
+from ..cluster.calibration import SUMMIT, SummitCalibration
+from ..parallel.partitioner import StorageMode, choose_g_inter
 
 __all__ = [
+    "FRAMEWORKS",
     "FRAMEWORK_MODES",
     "SPARSE_MODES",
     "CandidateConfig",
+    "candidate_for_workload",
 ]
 
-#: Storage modes each framework can legally run with. AxoNN variants are
-#: defined by their storage strategy; DeepSpeed-3D may run its dense
-#: baseline or shard optimizer state with ZeRO-1.
+#: The frameworks the paper compares: dense AxoNN, AxoNN with SAMO
+#: storage (this paper), DeepSpeed-3D, and Sputnik's sparse kernels
+#: inside AxoNN.
+FRAMEWORKS = ("axonn", "axonn+samo", "deepspeed-3d", "sputnik")
+
+#: Storage modes each framework can legally run with; the first is its
+#: paper-protocol mode. AxoNN variants are defined by their storage
+#: strategy; DeepSpeed-3D may run its dense baseline or shard optimizer
+#: state with ZeRO-1.
 FRAMEWORK_MODES: dict[str, tuple[StorageMode, ...]] = {
     "axonn": (StorageMode.DENSE,),
     "axonn+samo": (StorageMode.SAMO,),
@@ -172,3 +181,32 @@ class CandidateConfig:
             f"G_inter={self.g_inter} G_data={self.g_data} "
             f"mbs={self.mbs} {ckpt}{sp}"
         )
+
+
+def candidate_for_workload(
+    spec, framework: str, n_gpus: int, *,
+    sparsity: float = 0.9, mbs: int = 1, cal: SummitCalibration = SUMMIT,
+) -> CandidateConfig:
+    """The paper-protocol candidate of a (model, GPUs, framework) workload.
+
+    GPT models run the hybrid with the smallest ``G_inter`` the memory
+    model fits in the framework's storage mode, checkpointing on; CNNs
+    run pure data parallel, which Sputnik's kernels cannot (they have no
+    sparse convolutions).
+    """
+    mode = FRAMEWORK_MODES[framework][0]
+    if spec.family == "cnn":
+        if framework == "sputnik":
+            raise ValueError("Sputnik does not support sparse convolutions (paper Sec. V-B)")
+        return CandidateConfig.create(
+            framework, g_data=n_gpus, mbs=mbs, mode=mode, sparsity=sparsity
+        )
+    g_inter = choose_g_inter(spec, n_gpus, mode, sparsity, mbs, cal)
+    return CandidateConfig.create(
+        framework,
+        g_inter=g_inter,
+        g_data=n_gpus // g_inter,
+        mbs=mbs,
+        mode=mode,
+        sparsity=sparsity,
+    )

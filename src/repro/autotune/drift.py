@@ -38,13 +38,12 @@ from ..cluster.calibration import (
     synthetic_comm_samples,
 )
 from ..models import get_spec
-from .config import CandidateConfig
+from .config import candidate_for_workload
 
 __all__ = [
     "FIG_TEMPLATES",
     "DRIFT_PHASES",
     "DRIFT_TOLERANCES",
-    "candidate_for_workload",
     "drift_report",
     "drift_report_json",
     "render_drift_report",
@@ -82,36 +81,6 @@ DRIFT_TOLERANCES = {
     "other": 1e-6,
     "total": 0.35,
 }
-
-
-def candidate_for_workload(
-    spec, framework: str, n_gpus: int, *,
-    sparsity: float = 0.9, mbs: int = 1, cal: SummitCalibration = SUMMIT,
-) -> CandidateConfig:
-    """The paper-protocol candidate of a (model, GPUs, framework) workload.
-
-    GPT models take the hybrid decomposition the batch engine uses
-    (``G_inter`` from the memory model, checkpointing on); CNNs run pure
-    data parallel.
-    """
-    from ..parallel.axonn import _framework_traits
-    from ..parallel.partitioner import choose_g_inter
-
-    traits = _framework_traits(framework)
-    if spec.family == "cnn":
-        return CandidateConfig.create(
-            framework, g_data=n_gpus, mbs=mbs,
-            mode=traits["mode"], sparsity=sparsity,
-        )
-    g_inter = choose_g_inter(spec, n_gpus, traits["mode"], sparsity, mbs, cal)
-    return CandidateConfig.create(
-        framework,
-        g_inter=g_inter,
-        g_data=n_gpus // g_inter,
-        mbs=mbs,
-        mode=traits["mode"],
-        sparsity=sparsity,
-    )
 
 
 def _phase_entry(reference, others: dict) -> dict:

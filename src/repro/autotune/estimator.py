@@ -14,10 +14,11 @@ hard-code:
   compute, but the full intermediate-activation footprint stays
   resident).
 
-On the subspace the simulators support (``G_tensor = 1``, checkpointing
-on, the framework's default storage mode, the partitioner's ``G_inter``)
-the analytic estimator reproduces :func:`repro.parallel.simulate_batch`
-exactly — tested in ``tests/test_autotune.py``.
+On the paper-protocol subspace (``G_tensor = 1``, checkpointing on, the
+framework's default storage mode, the partitioner's ``G_inter`` — see
+:func:`~repro.autotune.config.candidate_for_workload`) an estimator's
+cell *is* the Figure-8 breakdown :meth:`repro.api.Session.breakdown`
+answers.
 
 :class:`SimulatorEstimator` (``--fidelity sim``) additionally replaces
 the closed-form bubble of Eq. 7 with the event-driven 1F1B schedule
@@ -56,7 +57,7 @@ from ..parallel.perf_model import (
 from ..parallel.scenarios import (
     PLACEMENTS,
     OVERLAP_BUCKETS,
-    PipelineScenario,
+    ClusterScenario,
     get_scenario,
     overlap_exposed_collective,
     resolve_fidelity,
@@ -222,7 +223,7 @@ class CostEstimator:
         self,
         spec: ModelSpec,
         cal: SummitCalibration = SUMMIT,
-        scenario: PipelineScenario | str | None = None,
+        scenario: ClusterScenario | str | None = None,
     ):
         self.spec = spec
         self.cal = cal
@@ -233,7 +234,7 @@ class CostEstimator:
             resolve_fidelity("analytic", scenario)
         #: degraded-machine scenario threaded into every phase the
         #: estimator prices (pipeline *and* collectives)
-        self.scenario: PipelineScenario | None = scenario
+        self.scenario: ClusterScenario | None = scenario
 
     def evaluate(self, config: CandidateConfig) -> Evaluation:
         raise NotImplementedError
@@ -394,12 +395,10 @@ class AnalyticEstimator(CostEstimator):
         )
         overlap_notes = {}
         if self.overlap:
-            # one gate shared with the breakdown engine: only frameworks
-            # with an asynchronous message-driven schedule can hide the
-            # all-reduce behind their drain
-            from ..parallel.axonn import _framework_traits  # deferred: axonn wraps this module's results
-
-            if trace is not None and _framework_traits(config.framework)["async_pipeline"]:
+            # only an asynchronous message-driven schedule can hide the
+            # all-reduce behind its drain; DeepSpeed-3D pipelines
+            # synchronously
+            if trace is not None and config.framework != "deepspeed-3d":
                 # overlap-aware fidelity: the data-parallel all-reduce hides
                 # behind the drain on the event timeline (the tensor-parallel
                 # collectives below stay additive — they sit inside the
@@ -465,7 +464,13 @@ class AnalyticEstimator(CostEstimator):
         return t_f, bwd_factor * t_f
 
     def _compress_overhead(self, config: CandidateConfig, microbatches: int) -> float:
-        """SAMO's backward gradient-compression gather (Section VI-C)."""
+        """SAMO's backward gradient-compression gather (Section VI-C).
+
+        A gather over the stage's parameters per microbatch (not a
+        flops-proportional term), calibrated against the paper's
+        8-12%-of-batch observation; a pure data-parallel CNN batch is one
+        microbatch.
+        """
         if config.mode.value != "samo":
             return 0.0
         stage_params = self.spec.param_count / config.model_parallel_degree
@@ -506,6 +511,7 @@ class AnalyticEstimator(CostEstimator):
         fwd = spec.fwd_flops_per_sample()
         compute = 3.0 * fwd * samples_per_gpu / (self.device.peak_flops * eff)
         backward_compute = compute * 2.0 / 3.0
+        overhead = self._compress_overhead(config, 1)
         coll = collective_time(
             spec,
             1,
@@ -523,7 +529,7 @@ class AnalyticEstimator(CostEstimator):
             framework=config.framework,
             model=spec.name,
             config=pcfg,
-            compute=compute,
+            compute=compute + overhead,
             p2p=0.0,
             bubble=0.0,
             collective=coll,
@@ -571,7 +577,7 @@ class SimulatorEstimator(AnalyticEstimator):
         self,
         spec: ModelSpec,
         cal: SummitCalibration = SUMMIT,
-        scenario: PipelineScenario | str | None = None,
+        scenario: ClusterScenario | str | None = None,
         partition_mode: str = "flops",
         overlap: bool = False,
         placement: str = "block",
@@ -692,7 +698,7 @@ def make_estimator(
     fidelity: str,
     spec: ModelSpec,
     cal: SummitCalibration = SUMMIT,
-    scenario: PipelineScenario | str | None = None,
+    scenario: ClusterScenario | str | None = None,
     partition_mode: str = "flops",
     overlap: bool = False,
     placement: str = "block",

@@ -57,7 +57,7 @@ from ..parallel.pipeline_exec import (
     PipelineStageTrainer,
     StageModule,
 )
-from ..parallel.scenarios import PipelineScenario
+from ..parallel.scenarios import ClusterScenario
 from .config import SPARSE_MODES, CandidateConfig
 from .estimator import (
     AnalyticEstimator,
@@ -436,7 +436,7 @@ class MeasuredEstimator(AnalyticEstimator):
         self,
         spec: ModelSpec,
         cal: SummitCalibration = SUMMIT,
-        scenario: PipelineScenario | str | None = None,
+        scenario: ClusterScenario | str | None = None,
         seed: int = 0,
     ):
         super().__init__(spec, cal, scenario=scenario)
@@ -608,6 +608,7 @@ class MeasuredEstimator(AnalyticEstimator):
         prof = self._pipeline_profile(1, 1, samo_exec, False)
         compute = max(prof.fwd_counts) * unit_f + max(prof.bwd_counts) * 2.0 * unit_f
         backward_compute = max(prof.bwd_counts) * 2.0 * unit_f
+        overhead = self._compress_overhead(config, 1)
         if n_gpus > 1:
             raw = self._measured_collective(config)
             hidden = min(raw * cal.dp_overlap_fraction, backward_compute)
@@ -623,7 +624,7 @@ class MeasuredEstimator(AnalyticEstimator):
             framework=config.framework,
             model=spec.name,
             config=pcfg,
-            compute=compute,
+            compute=compute + overhead,
             p2p=0.0,
             bubble=0.0,
             collective=coll,

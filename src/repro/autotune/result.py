@@ -21,7 +21,30 @@ from dataclasses import dataclass, field
 from ..reporting.tables import format_bytes, render_table
 from .estimator import Evaluation
 
-__all__ = ["PlanResult"]
+__all__ = ["PlannerStats", "PlanResult"]
+
+
+@dataclass
+class PlannerStats:
+    """Accounting for one search: candidates, cells priced, cache hits,
+    pruned branches and wall time."""
+
+    candidates: int = 0
+    evaluated: int = 0
+    cache_hits: int = 0
+    pruned_memory: int = 0
+    pruned_branches: int = 0
+    wall_seconds: float = 0.0
+
+    def as_dict(self) -> dict:
+        return {
+            "candidates": self.candidates,
+            "evaluated": self.evaluated,
+            "cache_hits": self.cache_hits,
+            "pruned_memory": self.pruned_memory,
+            "pruned_branches": self.pruned_branches,
+            "wall_seconds": round(self.wall_seconds, 4),
+        }
 
 
 @dataclass
@@ -33,7 +56,7 @@ class PlanResult:
     fidelity: str
     budget_bytes: int
     evaluations: list[Evaluation] = field(default_factory=list)
-    stats: object = None
+    stats: PlannerStats | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -85,8 +108,6 @@ class PlanResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlanResult":
-        from .search import PlannerStats
-
         stats = data.get("stats")
         return cls(
             model=data["model"],

@@ -30,10 +30,9 @@ from typing import Iterator
 
 from ..cluster.calibration import SUMMIT, SummitCalibration
 from ..models.spec import ModelSpec
-from ..parallel.axonn import FRAMEWORKS
 from ..parallel.partitioner import model_state_bytes
 from .cache import spec_signature
-from .config import FRAMEWORK_MODES, SPARSE_MODES, CandidateConfig
+from .config import FRAMEWORK_MODES, FRAMEWORKS, SPARSE_MODES, CandidateConfig
 from .estimator import activation_footprint_bytes
 
 __all__ = ["SearchSpace", "SpaceStats", "CandidateMemo"]

@@ -131,17 +131,22 @@ def run_fig4(args) -> str:
 
 
 def _scaling_report(names: list[str], tag: str) -> str:
+    from .api import Job, Session
+    from .autotune import FRAMEWORKS
     from .models import TABLE_I, get_spec, gpu_counts
-    from .parallel import FRAMEWORKS, simulate_batch
     from .reporting import render_table
 
+    session = Session()
     blocks = []
     for name in names:
         spec = get_spec(name)
         frameworks = [fw for fw in FRAMEWORKS if not (spec.family == "cnn" and fw == "sputnik")]
         rows = []
         for g in gpu_counts(TABLE_I[name]):
-            res = {fw: simulate_batch(spec, g, fw) for fw in frameworks}
+            res = {
+                fw: session.breakdown(Job(model=name, n_gpus=g, framework=fw))
+                for fw in frameworks
+            }
             row = {"GPUs": g}
             for fw in frameworks:
                 row[f"{fw} (s)"] = round(res[fw].total, 3)
@@ -166,15 +171,14 @@ def run_fig7(args) -> str:
 
 
 def run_fig8(args) -> str:
-    from .models import get_spec
-    from .parallel import simulate_batch
+    from .api import Job, Session
     from .reporting import render_table
 
-    spec = get_spec("gpt3-2.7b")
+    session = Session()
     rows = []
     for g in (128, 256, 512):
         for label, fw in (("AxoNN", "axonn"), ("AxoNN+SAMO", "axonn+samo")):
-            b = simulate_batch(spec, g, fw)
+            b = session.breakdown(Job(model="gpt3-2.7b", n_gpus=g, framework=fw))
             rows.append({
                 "GPUs": g,
                 "run": label,
@@ -199,17 +203,19 @@ def run_table1(args) -> str:
 
 
 def run_table2(args) -> str:
-    from .models import get_spec, narayanan_transformer_flops, percent_of_peak
-    from .parallel import FRAMEWORKS, simulate_batch
+    from .api import Job, Session
+    from .autotune import FRAMEWORKS
+    from .models import narayanan_transformer_flops, percent_of_peak
     from .reporting import render_table
 
-    spec = get_spec("gpt3-13b")
+    session = Session()
     flops = narayanan_transformer_flops(2048, 2048, 40, 5120, 50257)
     rows = []
     for g in (256, 512, 1024, 2048):
         row = {"GPUs": g}
         for fw in FRAMEWORKS:
-            pct = percent_of_peak(flops, simulate_batch(spec, g, fw).total, g)
+            b = session.breakdown(Job(model="gpt3-13b", n_gpus=g, framework=fw))
+            pct = percent_of_peak(flops, b.total, g)
             row[fw] = f"{pct:.1f}%"
         rows.append(row)
     return render_table(
@@ -462,14 +468,17 @@ def run_place(args) -> str:
 
 def run_trace(args) -> str:
     from .api import Job, Machine, Session
+    from .autotune import EvaluationCache
     from .obs import Tracer
 
     try:
+        # a fresh cache: a trace records the schedules of the cells it
+        # prices, and a stored cell would price nothing
         if args.chrome:
-            session = Session(Machine.summit(), trace_to=args.chrome)
+            session = Session(Machine.summit(), EvaluationCache(), trace_to=args.chrome)
         else:
             # no export target: still collect spans for the summary
-            session = Session(Machine.summit())
+            session = Session(Machine.summit(), EvaluationCache())
             session.tracer = Tracer()
         job = Job(
             model=args.model,

@@ -1,8 +1,10 @@
 """Parallel deep-learning frameworks on the simulated cluster.
 
-* :func:`simulate_batch` / :func:`strong_scaling` — the shared engine
-  (AxoNN, AxoNN+SAMO, DeepSpeed-3D, Sputnik) producing Figure 8-style
-  batch breakdowns;
+The Figure 8-style batch breakdowns of AxoNN, AxoNN+SAMO, DeepSpeed-3D
+and Sputnik are priced by :mod:`repro.autotune`'s estimators and asked
+through :meth:`repro.api.Session.breakdown`; this package holds the
+pieces they compose:
+
 * :mod:`repro.parallel.pipeline` — event-driven 1F1B schedule simulation
   (Figure 3);
 * :mod:`repro.parallel.partitioner` — memory accounting and ``G_inter``
@@ -11,9 +13,7 @@
   over the thread communicator.
 """
 
-from .axonn import FRAMEWORKS, simulate_batch, strong_scaling
 from .data_parallel import collective_time, gradient_bytes_per_gpu
-from .deepspeed3d import simulate_deepspeed_batch
 from .megatron import (
     ColumnParallelLinear,
     RowParallelLinear,
@@ -56,7 +56,6 @@ from .scenarios import (
     SCENARIOS,
     ClusterScenario,
     OverlapReport,
-    PipelineScenario,
     compare_partition_modes,
     get_scenario,
     overlap_exposed_collective,
@@ -64,17 +63,10 @@ from .scenarios import (
     run_scenario,
     simulate_hetero_pipeline,
 )
-from .samo_integration import DataParallelSAMOTrainer, simulate_samo_batch
-from .sputnik_backend import simulate_sputnik_batch
+from .samo_integration import DataParallelSAMOTrainer
 from .zero import Zero1DataParallel, zero_memory_bytes
 
 __all__ = [
-    "FRAMEWORKS",
-    "simulate_batch",
-    "strong_scaling",
-    "simulate_samo_batch",
-    "simulate_deepspeed_batch",
-    "simulate_sputnik_batch",
     "DataParallelSAMOTrainer",
     "BatchBreakdown",
     "ParallelConfig",
@@ -93,7 +85,6 @@ __all__ = [
     "place_replicas",
     "BucketedGradSync",
     "ClusterScenario",
-    "PipelineScenario",
     "SCENARIOS",
     "get_scenario",
     "resolve_fidelity",

@@ -2,7 +2,7 @@
 
 The performance side of AxoNN's pipeline lives in
 :mod:`repro.parallel.pipeline` (event simulation) and
-:mod:`repro.parallel.axonn` (batch-time model). This module *executes* the
+:mod:`repro.autotune.estimator` (batch-time model). This module *executes* the
 algorithm: each rank owns a contiguous stage of layers; activations flow
 downstream with ``send``/``recv`` during the forward pass and activation
 gradients flow upstream during the backward pass, microbatch by

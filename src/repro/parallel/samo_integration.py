@@ -1,44 +1,26 @@
-"""AxoNN+SAMO — the paper's system, on both execution paths.
+"""AxoNN+SAMO's functional data-parallel trainer.
 
-Two complementary entry points:
-
-* :func:`simulate_samo_batch` — performance simulation on the calibrated
-  Summit model (feeds Figs. 5-8, Table II);
-* :class:`DataParallelSAMOTrainer` — a *functional* multi-rank data-
-  parallel trainer over the in-process communicator: every rank holds a
-  replica, computes on its batch shard, all-reduces the **compressed**
-  fp16 gradients (Section IV-A), and runs the SAMO optimizer step. This is
-  the executable proof that sparse all-reduce + compressed state training
-  is exactly equivalent to dense training of the masked network.
+:class:`DataParallelSAMOTrainer` is a multi-rank data-parallel trainer
+over the in-process communicator: every rank holds a replica, computes
+on its batch shard, all-reduces the **compressed** fp16 gradients
+(Section IV-A), and runs the SAMO optimizer step. This is the executable
+proof that sparse all-reduce + compressed state training is exactly
+equivalent to dense training of the masked network. The performance
+side (Figs. 5-8, Table II) is :meth:`repro.api.Session.breakdown` with
+``framework="axonn+samo"``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..cluster.calibration import SUMMIT, SummitCalibration
 from ..comm.backend import Communicator
 from ..core.config import SAMOConfig
 from ..core.samo_optimizer import SAMOOptimizer
-from ..models.spec import ModelSpec
 from ..pruning.masks import MaskSet
 from ..tensor.module import Module
-from .perf_model import BatchBreakdown
 
-__all__ = ["simulate_samo_batch", "DataParallelSAMOTrainer"]
-
-
-def simulate_samo_batch(
-    spec: ModelSpec,
-    n_gpus: int,
-    sparsity: float = 0.9,
-    mbs: int = 1,
-    cal: SummitCalibration = SUMMIT,
-) -> BatchBreakdown:
-    """Batch-time breakdown of AxoNN+SAMO on the simulated machine."""
-    from .axonn import simulate_batch
-
-    return simulate_batch(spec, n_gpus, "axonn+samo", sparsity=sparsity, mbs=mbs, cal=cal)
+__all__ = ["DataParallelSAMOTrainer"]
 
 
 class DataParallelSAMOTrainer:

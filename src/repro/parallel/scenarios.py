@@ -52,7 +52,6 @@ from .pipeline import PipelineTrace, simulate_pipeline
 
 __all__ = [
     "ClusterScenario",
-    "PipelineScenario",
     "SCENARIOS",
     "get_scenario",
     "resolve_fidelity",
@@ -270,11 +269,6 @@ class ClusterScenario:
         return cls(**data)
 
 
-#: Backwards-compatible alias: PR 2 introduced the pipeline-only
-#: scenario under this name; the collective knobs extended it in place.
-PipelineScenario = ClusterScenario
-
-
 #: Named presets (the ``repro simulate --preset`` choices).
 SCENARIOS: dict[str, ClusterScenario] = {
     s.name: s
@@ -373,8 +367,7 @@ def resolve_fidelity(
     ``default``. An *explicit* ``"analytic"`` together with one of those
     knobs is a contradiction — the closed form cannot price degraded
     machines, comm/compute overlap, or optimized placements — and raises
-    instead of being silently rewritten (``simulate_batch`` used to flip
-    it while ``make_estimator`` raised; now both come here).
+    instead of being silently rewritten.
     """
     if placement not in PLACEMENTS:
         raise ValueError(

@@ -193,19 +193,14 @@ def run_replan(
     remaining = horizon_batches * (1.0 - at)
     evaluations = OBS.metrics.counter("mc.replan_evaluations")
 
-    ride_batch = session.breakdown(base, scenario=scenario, spec=spec).total
+    ride = session.breakdown(base, scenario=scenario, spec=spec)
     evaluations.inc()
+    ride_batch = ride.total
     ride_seconds = remaining * ride_batch
 
     if migration_seconds is None:
-        from ..parallel.axonn import _framework_traits, _gpt_decomposition
-
-        traits = _framework_traits(job.framework)
-        g_inter, _g_data, _m, _t_f, _t_b = _gpt_decomposition(
-            spec, traits, job.n_gpus, job.sparsity, job.mbs, session.machine.cal
-        )
         migration_seconds = default_migration_seconds(
-            spec, g_inter, session.machine.cal
+            spec, ride.config.g_inter, session.machine.cal
         )
 
     options = []

@@ -20,13 +20,12 @@ from repro.api import (
 from repro.autotune import (
     AnalyticEstimator,
     EvaluationCache,
-    Planner,
     SimulatorEstimator,
+    candidate_for_workload,
 )
 from repro.autotune.estimator import _ESTIMATOR_REGISTRY
 from repro.models import get_spec
-from repro.parallel import simulate_batch
-from repro.parallel.scenarios import resolve_fidelity
+from repro.parallel.scenarios import get_scenario, resolve_fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +183,10 @@ class TestAnalyticScenarioConflict:
         assert fid == "sim" and sc.name == "straggler"
         assert resolve_fidelity(None, None) == ("analytic", None)
 
-    def test_simulate_batch_raises_on_explicit_conflict(self):
+    def test_breakdown_raises_on_explicit_conflict(self):
+        job = Job(model="gpt3-xl", n_gpus=64, fidelity="analytic")
         with pytest.raises(ValueError, match=self.MSG):
-            simulate_batch(
-                get_spec("gpt3-xl"), 64, "axonn",
-                pipeline_fidelity="analytic", scenario="straggler",
-            )
+            Session(Machine()).breakdown(job, scenario="straggler")
 
     def test_direct_estimator_construction_raises(self):
         """The constructor contract: no post-hoc silently-ignored scenario."""
@@ -204,8 +201,9 @@ class TestAnalyticScenarioConflict:
             make_estimator("analytic", get_spec("gpt3-xl"), scenario="straggler")
 
     def test_planner_raises(self):
+        job = Job(model="gpt3-xl", n_gpus=32, fidelity="analytic")
         with pytest.raises(ValueError, match=self.MSG):
-            Planner("gpt3-xl", 32, fidelity="analytic", scenario="straggler")
+            Session(Machine()).plan(job, scenario=get_scenario("straggler"))
 
     def test_session_raises(self):
         job = Job(model="gpt3-xl", n_gpus=32, fidelity="analytic")
@@ -229,11 +227,6 @@ class TestAnalyticScenarioConflict:
         # breakdown agrees with plan: same Job, same rejection
         with pytest.raises(ValueError, match="time-balanced"):
             Session(Machine()).breakdown(job)
-        with pytest.raises(ValueError, match="time-balanced"):
-            simulate_batch(
-                get_spec("gpt3-xl"), 32, "axonn",
-                pipeline_fidelity="analytic", partition_mode="time",
-            )
         # unset fidelity + time partitioning still works through the sim path
         b = Session(Machine()).breakdown(
             job.with_(fidelity="sim"), scenario="straggler"
@@ -267,12 +260,22 @@ class TestAnalyticScenarioConflict:
 
 class TestSessionBreakdownAndTrace:
     def test_breakdown_matches_legacy_wrapper(self):
-        spec = get_spec("gpt3-xl")
+        """The total the removed legacy batch wrapper returned."""
         job = Job(model="gpt3-xl", n_gpus=64, framework="axonn+samo")
-        assert (
-            Session(Machine()).breakdown(job).total
-            == simulate_batch(spec, 64, "axonn+samo").total
-        )
+        b = Session(Machine(), cache=EvaluationCache()).breakdown(job)
+        assert b.total == 3.453932216378635
+
+    def test_breakdown_is_the_plan_cell(self):
+        """A breakdown is the plan's cell of the paper-protocol config,
+        so asking it after the plan prices nothing."""
+        job = Job(model="gpt3-xl", n_gpus=64, framework="axonn+samo")
+        session = Session(Machine(), cache=EvaluationCache())
+        plan = session.plan(job)
+        config = candidate_for_workload(get_spec("gpt3-xl"), "axonn+samo", 64)
+        (cell,) = [e for e in plan.evaluations if e.config == config]
+        misses = session.cache.misses
+        assert session.breakdown(job) is cell.breakdown
+        assert session.cache.misses == misses
 
     def test_trace_exposes_schedule(self):
         job = Job(model="gpt3-xl", n_gpus=64, framework="axonn", fidelity="sim")
@@ -374,7 +377,9 @@ class TestSerialization:
     def test_breakdown_round_trip(self):
         from repro.parallel import BatchBreakdown
 
-        b = simulate_batch(get_spec("gpt3-xl"), 64, "axonn+samo")
+        b = Session(Machine()).breakdown(
+            Job(model="gpt3-xl", n_gpus=64, framework="axonn+samo")
+        )
         d = json.loads(json.dumps(b.to_dict()))
         back = BatchBreakdown.from_dict(d)
         assert back.total == b.total

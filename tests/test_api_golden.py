@@ -1,22 +1,25 @@
-"""Golden parity: the api redesign must not move a single bit.
+"""Golden numbers of the Figure-8 breakdown and the planner.
 
-The literals below were produced by the pre-refactor entry points
-(``simulate_batch`` with the hand-threaded kwargs, PR 1's ``Planner``)
-and pin the legacy surface byte-for-byte: every phase of the Figure-8
-breakdown, the planner's winning config and its exact batch time. All
-arithmetic is pure deterministic float math, so equality is exact — any
-drift means the thin-wrapper rewiring changed semantics.
+The literals below were produced by the original batch-time engine and
+planner, before both became questions to :class:`repro.api.Session`:
+every phase of the Figure-8 breakdown, the planner's winning config and
+its exact batch time. All arithmetic is pure deterministic float math,
+so equality is exact — any drift means a refactor changed semantics.
 """
 
 import pytest
 
 from repro.api import Job, Machine, Session
-from repro.autotune import EvaluationCache, Planner
-from repro.models import get_spec
-from repro.parallel import simulate_batch
+from repro.autotune import EvaluationCache
+
+
+@pytest.fixture
+def session():
+    return Session(Machine(), cache=EvaluationCache())
+
 
 # (framework -> (compute, p2p, bubble, collective, other, total, mem/GPU))
-# from simulate_batch(gpt3-2.7b, 128, fw, sparsity=0.9) @ commit 88bc684
+# breakdown of gpt3-2.7b on 128 GPUs at sparsity 0.9 @ commit 88bc684
 GOLDEN_128 = {
     "axonn": (
         2.6046605470378665, 0.9075848533333334, 0.5697694946645333,
@@ -39,9 +42,10 @@ GOLDEN_128 = {
 
 class TestLegacySimulateBatchGolden:
     @pytest.mark.parametrize("framework", sorted(GOLDEN_128))
-    def test_breakdown_bit_identical(self, framework):
-        spec = get_spec("gpt3-2.7b")
-        b = simulate_batch(spec, 128, framework, sparsity=0.9)
+    def test_breakdown_bit_identical(self, framework, session):
+        b = session.breakdown(
+            Job(model="gpt3-2.7b", n_gpus=128, framework=framework, sparsity=0.9)
+        )
         compute, p2p, bubble, coll, other, total, mem = GOLDEN_128[framework]
         assert b.compute == compute
         assert b.p2p == p2p
@@ -51,53 +55,41 @@ class TestLegacySimulateBatchGolden:
         assert b.total == total
         assert b.memory_per_gpu == mem
 
-    def test_sim_fidelity_bit_identical(self):
-        spec = get_spec("gpt3-2.7b")
-        b = simulate_batch(spec, 128, "axonn", pipeline_fidelity="sim")
+    def test_sim_fidelity_bit_identical(self, session):
+        b = session.breakdown(Job(model="gpt3-2.7b", n_gpus=128, fidelity="sim"))
         assert b.total == 4.7049458990127
 
-    def test_scenario_still_implies_sim_when_fidelity_unset(self):
-        spec = get_spec("gpt3-2.7b")
-        b = simulate_batch(spec, 128, "axonn", scenario="straggler")
-        assert b.notes["pipeline_fidelity"] == "sim"
+    def test_scenario_still_implies_sim_when_fidelity_unset(self, session):
+        b = session.breakdown(Job(model="gpt3-2.7b", n_gpus=128), scenario="straggler")
+        assert b.notes["fidelity"] == "sim@straggler"
         assert b.total == 4.264955131507627
 
-    def test_cnn_pure_dp_bit_identical(self):
-        b = simulate_batch(get_spec("vgg19"), 16, "axonn+samo")
+    def test_cnn_pure_dp_bit_identical(self, session):
+        b = session.breakdown(Job(model="vgg19", n_gpus=16, framework="axonn+samo"))
         assert b.total == 0.5415167429121711
         assert b.memory_per_gpu == 6024974384
-
-    def test_session_breakdown_equals_legacy(self):
-        """The facade and the legacy wrapper are the same numbers."""
-        spec = get_spec("gpt3-2.7b")
-        legacy = simulate_batch(spec, 128, "axonn+samo", sparsity=0.9)
-        job = Job(model="gpt3-2.7b", n_gpus=128, framework="axonn+samo")
-        facade = Session(Machine()).breakdown(job)
-        assert facade.total == legacy.total
-        assert facade.to_dict() == legacy.to_dict()
 
 
 class TestOverlapPlacementGolden:
     """The new fidelity knobs must leave the pinned numbers untouched
     when off, and strictly improve the right phase when on."""
 
-    def test_overlap_off_is_byte_identical_to_pr4_goldens(self):
+    def test_overlap_off_is_byte_identical_to_pr4_goldens(self, session):
         """overlap=False / placement='block' spelled out explicitly must
         reproduce every pinned PR 4 number bit-for-bit."""
-        spec = get_spec("gpt3-2.7b")
         for framework, golden in GOLDEN_128.items():
-            b = simulate_batch(
-                spec, 128, framework, sparsity=0.9,
+            b = session.breakdown(Job(
+                model="gpt3-2.7b", n_gpus=128, framework=framework, sparsity=0.9,
                 overlap=False, placement="block",
-            )
+            ))
             assert b.total == golden[5], framework
-        b = simulate_batch(
-            spec, 128, "axonn", pipeline_fidelity="sim",
+        b = session.breakdown(Job(
+            model="gpt3-2.7b", n_gpus=128, fidelity="sim",
             overlap=False, placement="block",
-        )
+        ))
         assert b.total == 4.7049458990127
 
-    def test_overlap_exposed_comm_golden(self):
+    def test_overlap_exposed_comm_golden(self, session):
         """Pinned overlap numbers under per-stage payloads.
 
         Stage 0 carries the embedding, so its gradient share is ~1.59x
@@ -106,26 +98,24 @@ class TestOverlapPlacementGolden:
         exceed ``additive`` (the accounting identity ``exposed + hidden
         == additive`` still holds, with ``hidden`` negative here —
         derivation in docs/cost_model.md)."""
-        spec = get_spec("gpt3-2.7b")
-        add = simulate_batch(spec, 128, "axonn", scenario="degraded-ring")
-        ov = simulate_batch(
-            spec, 128, "axonn", scenario="degraded-ring", overlap=True
-        )
+        job = Job(model="gpt3-2.7b", n_gpus=128)
+        add = session.breakdown(job, scenario="degraded-ring")
+        ov = session.breakdown(job.with_(overlap=True), scenario="degraded-ring")
         assert add.collective == 0.6259577999999999
         assert ov.collective == 0.9319272578604592
         assert ov.collective_additive == add.collective
         assert ov.collective_hidden == add.collective - ov.collective
 
-    def test_session_place_never_worse_golden(self):
+    def test_session_place_never_worse_golden(self, session):
         job = Job(model="gpt3-2.7b", n_gpus=16)
-        res = Session(Machine()).place(job)
+        res = session.place(job)
         assert res.makespan <= res.default_makespan
         assert res.default_makespan == 27.766624348680676
 
 
 class TestLegacyPlannerGolden:
-    def test_analytic_plan_bit_identical(self):
-        res = Planner("gpt3-xl", 64, cache=EvaluationCache()).plan()
+    def test_analytic_plan_bit_identical(self, session):
+        res = session.plan(Job(model="gpt3-xl", n_gpus=64))
         assert res.best.config.canonical_key() == (
             "axonn+samo", 1, 1, 64, 4, False, "samo", 0.9
         )
@@ -134,24 +124,13 @@ class TestLegacyPlannerGolden:
         assert len(res.evaluations) == 233
         assert len(res.feasible) == 233
 
-    def test_sim_scenario_plan_bit_identical(self):
-        res = Planner(
-            "gpt3-xl", 32, fidelity="sim", scenario="straggler",
-            microbatch_sizes=(1,), cache=EvaluationCache(),
-        ).plan()
+    def test_sim_scenario_plan_bit_identical(self, session):
+        res = session.plan(
+            Job(model="gpt3-xl", n_gpus=32, fidelity="sim"),
+            scenario="straggler", microbatch_sizes=(1,),
+        )
         assert res.fidelity == "sim@straggler"
         assert res.best.config.canonical_key() == (
             "axonn", 1, 8, 4, 1, False, "dense", 0.0
         )
         assert res.best.total_time == 5.64271813216939
-
-    def test_session_plan_equals_planner(self):
-        cache = EvaluationCache()
-        legacy = Planner("gpt3-xl", 64, cache=cache).plan()
-        facade = Session(Machine(), cache=EvaluationCache()).plan(
-            Job(model="gpt3-xl", n_gpus=64)
-        )
-        assert [e.config for e in facade.feasible] == [
-            e.config for e in legacy.feasible
-        ]
-        assert facade.best.total_time == legacy.best.total_time

@@ -2,23 +2,27 @@
 
 import pytest
 
+from repro.api import Job, Machine, Session
 from repro.autotune import (
     AnalyticEstimator,
     CandidateConfig,
     EvaluationCache,
     GLOBAL_CACHE,
-    Planner,
     SearchSpace,
     SimulatorEstimator,
     activation_footprint_bytes,
     candidate_memory_per_gpu,
-    make_cache_key,
-    plan,
+    evaluation_cache_key,
 )
 from repro.autotune.space import CandidateMemo
 from repro.cluster.calibration import SUMMIT, with_memory_budget
 from repro.models import get_spec
-from repro.parallel import FRAMEWORKS, StorageMode, choose_g_inter, simulate_batch
+from repro.parallel import StorageMode, choose_g_inter
+
+
+@pytest.fixture
+def session():
+    return Session(Machine(), cache=EvaluationCache())
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +137,7 @@ class TestSearchSpace:
 # ---------------------------------------------------------------------------
 
 class TestEstimatorParity:
-    """On the legacy subspace the analytic estimator IS simulate_batch."""
-
-    @pytest.mark.parametrize("framework", FRAMEWORKS)
-    def test_matches_simulate_batch(self, framework):
-        spec = get_spec("gpt3-2.7b")
-        ref = simulate_batch(spec, 128, framework, sparsity=0.9)
-        mode = StorageMode(ref.notes["mode"])
-        gi = ref.config.g_inter
-        cfg = CandidateConfig.create(
-            framework,
-            g_inter=gi,
-            g_data=128 // gi,
-            mbs=1,
-            checkpoint_activations=True,
-            mode=mode,
-            sparsity=0.9,
-        )
-        ev = AnalyticEstimator(spec).evaluate(cfg)
-        assert ev.total_time == pytest.approx(ref.total, rel=1e-12)
-        assert ev.breakdown.bubble == pytest.approx(ref.bubble, rel=1e-12)
-        assert ev.breakdown.p2p == pytest.approx(ref.p2p, rel=1e-12)
-        assert ev.memory_bytes == ref.memory_per_gpu
+    """The estimators on the search axes the paper protocol fixes."""
 
     def test_no_checkpoint_trades_memory_for_compute(self):
         spec = get_spec("gpt3-xl")
@@ -225,52 +208,49 @@ class TestSimulatorFidelity:
 
 
 # ---------------------------------------------------------------------------
-# Cache + Planner
+# Cache + plan search
 # ---------------------------------------------------------------------------
 
 class TestMemoization:
-    def test_repeated_search_reevaluates_nothing(self):
-        cache = EvaluationCache()
-        p1 = Planner("gpt3-xl", 64, cache=cache)
-        r1 = p1.plan()
-        assert p1.stats.evaluated == p1.stats.candidates > 0
-        assert p1.stats.cache_hits == 0
+    def test_repeated_search_reevaluates_nothing(self, session):
+        job = Job(model="gpt3-xl", n_gpus=64)
+        r1 = session.plan(job)
+        assert r1.stats.evaluated == r1.stats.candidates > 0
+        assert r1.stats.cache_hits == 0
 
-        p2 = Planner("gpt3-xl", 64, cache=cache)
-        r2 = p2.plan()
-        assert p2.stats.evaluated == 0
-        assert p2.stats.cache_hits == p2.stats.candidates
+        r2 = Session(Machine(), cache=session.cache).plan(job)
+        assert r2.stats.evaluated == 0
+        assert r2.stats.cache_hits == r2.stats.candidates
         assert r2.best.config == r1.best.config
         assert r2.best.total_time == r1.best.total_time
 
     def test_cache_key_separates_fidelity_budget_and_model(self):
         spec_a, spec_b = get_spec("gpt3-xl"), get_spec("gpt3-2.7b")
         cfg = CandidateConfig.create("axonn", g_inter=8, g_data=8)
-        k = make_cache_key(spec_a, SUMMIT, "analytic", cfg)
-        assert k != make_cache_key(spec_b, SUMMIT, "analytic", cfg)
-        assert k != make_cache_key(spec_a, SUMMIT, "sim", cfg)
-        assert k != make_cache_key(spec_a, with_memory_budget(12.0), "analytic", cfg)
+        k = evaluation_cache_key(SUMMIT, spec_a, "analytic", cfg)
+        assert k != evaluation_cache_key(SUMMIT, spec_b, "analytic", cfg)
+        assert k != evaluation_cache_key(SUMMIT, spec_a, "sim", cfg)
+        assert k != evaluation_cache_key(with_memory_budget(12.0), spec_a, "analytic", cfg)
 
     def test_global_cache_is_default(self):
         before = len(GLOBAL_CACHE)
-        plan("gpt3-xl", 64)
+        Session(Machine()).plan(Job(model="gpt3-xl", n_gpus=64))
         assert len(GLOBAL_CACHE) >= before
 
-    def test_overlapping_sweeps_share_entries(self):
-        cache = EvaluationCache()
-        Planner("gpt3-xl", 64, cache=cache).plan()
-        n = len(cache)
-        # same space again inside a different planner object
-        p = Planner("gpt3-xl", 64, cache=cache)
-        p.plan()
-        assert len(cache) == n and p.stats.evaluated == 0
+    def test_overlapping_sweeps_share_entries(self, session):
+        job = Job(model="gpt3-xl", n_gpus=64)
+        session.plan(job)
+        n = len(session.cache)
+        # same space again inside a different session object
+        res = Session(Machine(), cache=session.cache).plan(job)
+        assert len(session.cache) == n and res.stats.evaluated == 0
 
 
 class TestPlannerResults:
-    def test_acceptance_samo_beats_dense_with_smaller_g_inter(self):
+    def test_acceptance_samo_beats_dense_with_smaller_g_inter(self, session):
         """ISSUE acceptance: the planner's SAMO pick has smaller G_inter
         and higher estimated throughput than the dense baseline."""
-        res = plan("gpt3-2.7b", 512, sparsities=(0.9,))
+        res = session.plan(Job(model="gpt3-2.7b", n_gpus=512, sparsity=0.9))
         samo = res.best_for("axonn+samo")
         dense = res.best_for("axonn")
         assert samo is not None and dense is not None
@@ -278,13 +258,12 @@ class TestPlannerResults:
         assert samo.throughput > dense.throughput
         assert res.best.config.framework == "axonn+samo"
 
-    def test_planner_recovers_partitioner_choice_under_paper_protocol(self):
+    def test_planner_recovers_partitioner_choice_under_paper_protocol(self, session):
         """With checkpointing fixed on and mbs=1 (the paper's protocol),
         the planner's per-framework G_inter equals choose_g_inter's."""
         spec = get_spec("gpt3-2.7b")
-        res = plan(
-            "gpt3-2.7b",
-            128,
+        res = session.plan(
+            Job(model="gpt3-2.7b", n_gpus=128),
             microbatch_sizes=(1,),
             explore_no_checkpoint=False,
         )
@@ -293,8 +272,8 @@ class TestPlannerResults:
         assert samo.config.g_inter == choose_g_inter(spec, 128, StorageMode.SAMO, 0.9)
         assert dense.config.g_inter == choose_g_inter(spec, 128, StorageMode.DENSE)
 
-    def test_pareto_frontier_is_nondominated(self):
-        res = plan("gpt3-2.7b", 256)
+    def test_pareto_frontier_is_nondominated(self, session):
+        res = session.plan(Job(model="gpt3-2.7b", n_gpus=256))
         frontier = res.pareto_frontier()
         assert frontier
         for ev in frontier:
@@ -309,33 +288,38 @@ class TestPlannerResults:
         assert frontier[-1].memory_bytes == min_mem
 
     def test_infeasible_budget_reports_gracefully(self):
-        res = plan("gpt3-13b", 256, budget_gb=5.5)  # below framework overhead
+        # below framework overhead
+        res = Session(Machine.summit(budget_gb=5.5), cache=EvaluationCache()).plan(
+            Job(model="gpt3-13b", n_gpus=256)
+        )
         assert res.feasible == []
         with pytest.raises(RuntimeError, match="no feasible configuration"):
             _ = res.best
         assert "no feasible" in res.report().lower()
 
-    def test_report_contains_why_and_stats(self):
-        res = plan("gpt3-2.7b", 512)
+    def test_report_contains_why_and_stats(self, session):
+        res = session.plan(Job(model="gpt3-2.7b", n_gpus=512))
         text = res.report()
         assert "Best config" in text
         assert "Pareto frontier" in text
         assert "Why:" in text
         assert "cache hits" in text
 
-    def test_sim_fidelity_end_to_end(self):
-        res = plan("gpt3-xl", 64, fidelity="sim", microbatch_sizes=(1,))
+    def test_sim_fidelity_end_to_end(self, session):
+        res = session.plan(
+            Job(model="gpt3-xl", n_gpus=64, fidelity="sim"), microbatch_sizes=(1,)
+        )
         assert res.fidelity == "sim"
         assert res.best.fidelity == "sim"
 
-    def test_cnn_planning(self):
-        res = plan("vgg19", 16)
+    def test_cnn_planning(self, session):
+        res = session.plan(Job(model="vgg19", n_gpus=16))
         assert res.best.config.g_inter == 1
         assert res.best.config.framework in ("axonn", "axonn+samo", "deepspeed-3d")
 
-    def test_unknown_fidelity(self):
+    def test_unknown_fidelity(self, session):
         with pytest.raises(ValueError, match="unknown fidelity"):
-            plan("gpt3-xl", 64, fidelity="exact")
+            session.plan(Job(model="gpt3-xl", n_gpus=64, fidelity="exact"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,11 @@ import json
 import pytest
 
 from repro.api import Job, Machine, Session
-from repro.autotune import available_fidelities, make_estimator
+from repro.autotune import available_fidelities, candidate_for_workload, make_estimator
 from repro.autotune.drift import (
     DRIFT_PHASES,
     DRIFT_TOLERANCES,
     FIG_TEMPLATES,
-    candidate_for_workload,
     drift_report,
     drift_report_json,
 )

@@ -1,7 +1,9 @@
-"""Framework simulators: qualitative shape of Figs. 5-8 and Table II."""
+"""Framework breakdowns: qualitative shape of Figs. 5-8 and Table II."""
 
 import pytest
 
+from repro.api import Job, Machine, Session
+from repro.autotune import FRAMEWORKS, EvaluationCache
 from repro.cluster import SUMMIT
 from repro.models import (
     TABLE_I,
@@ -10,19 +12,14 @@ from repro.models import (
     narayanan_transformer_flops,
     percent_of_peak,
 )
-from repro.parallel import (
-    BatchBreakdown,
-    FRAMEWORKS,
-    microbatches_per_gpu,
-    simulate_batch,
-    simulate_deepspeed_batch,
-    simulate_samo_batch,
-    simulate_sputnik_batch,
-    strong_scaling,
-    transmission_time,
-)
+from repro.parallel import microbatches_per_gpu, transmission_time
 
 GPT_MODELS = ("gpt3-xl", "gpt3-2.7b", "gpt3-6.7b", "gpt3-13b")
+
+
+@pytest.fixture(scope="module")
+def session():
+    return Session(Machine(), cache=EvaluationCache())
 
 
 class TestEquations:
@@ -58,113 +55,133 @@ class TestEquations:
 
 class TestFrameworkOrdering:
     @pytest.mark.parametrize("name", GPT_MODELS)
-    def test_samo_fastest_sputnik_slowest(self, name):
+    def test_samo_fastest_sputnik_slowest(self, name, session):
         """The consistent Fig. 6/7 ordering at every profiled GPU count."""
-        spec = get_spec(name)
         for g in gpu_counts(TABLE_I[name]):
-            r = {fw: simulate_batch(spec, g, fw) for fw in FRAMEWORKS}
+            r = {
+                fw: session.breakdown(Job(model=name, n_gpus=g, framework=fw))
+                for fw in FRAMEWORKS
+            }
             assert r["axonn+samo"].total < r["axonn"].total, (name, g)
             assert r["axonn+samo"].total < r["deepspeed-3d"].total, (name, g)
             assert r["sputnik"].total > r["axonn"].total, (name, g)
 
     @pytest.mark.parametrize("name", GPT_MODELS)
-    def test_speedup_grows_with_scale(self, name):
+    def test_speedup_grows_with_scale(self, name, session):
         """Paper: largest speedups at the largest GPU counts. GPT-3 13B is
         nearly flat in the paper too (19/19/22/26), so it only gets a
         no-collapse check."""
-        spec = get_spec(name)
         counts = gpu_counts(TABLE_I[name])
         speeds = []
         for g in counts:
-            a = simulate_batch(spec, g, "axonn")
-            s = simulate_batch(spec, g, "axonn+samo")
+            a = session.breakdown(Job(model=name, n_gpus=g, framework="axonn"))
+            s = session.breakdown(Job(model=name, n_gpus=g, framework="axonn+samo"))
             speeds.append(s.speedup_over(a))
         if name == "gpt3-13b":
             assert speeds[-1] > speeds[0] - 2.0
         else:
             assert speeds[-1] > speeds[0]
 
-    def test_speedup_bands_match_paper(self):
+    def test_speedup_bands_match_paper(self, session):
         """Simulated speedups stay within a loose band of the annotations."""
         paper = {
             "gpt3-xl": (10, 47), "gpt3-2.7b": (10, 34),
             "gpt3-6.7b": (11, 23), "gpt3-13b": (19, 26),
         }
         for name, (lo, hi) in paper.items():
-            spec = get_spec(name)
             for g in gpu_counts(TABLE_I[name]):
-                s = simulate_batch(spec, g, "axonn+samo").speedup_over(
-                    simulate_batch(spec, g, "axonn")
+                job = Job(model=name, n_gpus=g)
+                s = session.breakdown(job.with_(framework="axonn+samo")).speedup_over(
+                    session.breakdown(job)
                 )
                 assert lo - 8 <= s <= hi + 10, (name, g, s)
 
-    def test_sputnik_roughly_2x_samo(self):
+    def test_sputnik_roughly_2x_samo(self, session):
         """'AxoNN+SAMO ends up being nearly twice as fast as Sputnik'."""
         for name in GPT_MODELS:
-            spec = get_spec(name)
-            g = gpu_counts(TABLE_I[name])[1]
-            ratio = simulate_batch(spec, g, "sputnik").total / simulate_batch(
-                spec, g, "axonn+samo"
-            ).total
+            job = Job(model=name, n_gpus=gpu_counts(TABLE_I[name])[1])
+            ratio = (
+                session.breakdown(job.with_(framework="sputnik")).total
+                / session.breakdown(job.with_(framework="axonn+samo")).total
+            )
             assert 1.4 < ratio < 2.6, (name, ratio)
 
-    def test_strong_scaling_times_decrease(self):
-        spec = get_spec("gpt3-2.7b")
-        out = strong_scaling(spec, gpu_counts(TABLE_I["gpt3-2.7b"]))
-        for fw, series in out.items():
-            totals = [b.total for b in series]
+    def test_scaling_times_decrease(self, session):
+        for fw in FRAMEWORKS:
+            totals = [
+                session.breakdown(Job(model="gpt3-2.7b", n_gpus=g, framework=fw)).total
+                for g in gpu_counts(TABLE_I["gpt3-2.7b"])
+            ]
             assert totals == sorted(totals, reverse=True), fw
 
 
 class TestCNNBehaviour:
-    def test_pure_data_parallel(self):
+    @pytest.mark.parametrize("name, g", [("vgg19", 16), ("wideresnet-101", 32)])
+    def test_samo_plan_cell_prices_the_breakdown(self, name, g):
+        """One SAMO rule for CNNs: the plan's pure data-parallel cell pays
+        the gradient-compression overhead the breakdown does. Its memory
+        differs: CNN plan candidates run without checkpointing."""
+        job = Job(model=name, n_gpus=g, framework="axonn+samo")
+        plan = Session(Machine(), cache=EvaluationCache()).plan(
+            job, frameworks=("axonn+samo",)
+        )
+        (cell,) = [e.breakdown for e in plan.evaluations if e.config.mbs == 1]
+        b = Session(Machine(), cache=EvaluationCache()).breakdown(job)
+        for phase in ("compute", "p2p", "bubble", "collective", "other", "total"):
+            assert getattr(cell, phase) == getattr(b, phase), phase
+
+    def test_pure_data_parallel(self, session):
         for name in ("vgg19", "wideresnet-101"):
-            b = simulate_batch(get_spec(name), 32, "axonn")
+            b = session.breakdown(Job(model=name, n_gpus=32))
             assert b.config.g_inter == 1 and b.p2p == 0.0 and b.bubble == 0.0
 
-    def test_deepspeed_equals_axonn_for_cnns(self):
+    def test_deepspeed_equals_axonn_for_cnns(self, session):
         """Paper Fig. 5: both use the same NCCL data parallelism."""
         for name in ("vgg19", "wideresnet-101"):
-            spec = get_spec(name)
-            a = simulate_batch(spec, 64, "axonn")
-            d = simulate_batch(spec, 64, "deepspeed-3d")
+            a = session.breakdown(Job(model=name, n_gpus=64, framework="axonn"))
+            d = session.breakdown(Job(model=name, n_gpus=64, framework="deepspeed-3d"))
             assert a.total == pytest.approx(d.total, rel=1e-6)
 
-    def test_sputnik_rejects_convolutions(self):
+    def test_sputnik_rejects_convolutions(self, session):
         with pytest.raises(ValueError):
-            simulate_batch(get_spec("vgg19"), 16, "sputnik")
+            session.breakdown(Job(model="vgg19", n_gpus=16, framework="sputnik"))
 
-    def test_vgg_benefits_more_than_wrn(self):
+    def test_vgg_benefits_more_than_wrn(self, session):
         """Paper: VGG speedups (18-44%) > WRN (7-15%), because WRN spends
         proportionally more time in compute."""
         for g in (64, 128):
-            sv = simulate_batch(get_spec("vgg19"), g, "axonn+samo").speedup_over(
-                simulate_batch(get_spec("vgg19"), g, "axonn"))
-            sw = simulate_batch(get_spec("wideresnet-101"), g, "axonn+samo").speedup_over(
-                simulate_batch(get_spec("wideresnet-101"), g, "axonn"))
+            sv, sw = (
+                session.breakdown(Job(model=name, n_gpus=g, framework="axonn+samo"))
+                .speedup_over(session.breakdown(Job(model=name, n_gpus=g)))
+                for name in ("vgg19", "wideresnet-101")
+            )
             assert sv > sw
 
-    def test_cnn_speedup_bands(self):
-        vgg = [simulate_batch(get_spec("vgg19"), g, "axonn+samo").speedup_over(
-            simulate_batch(get_spec("vgg19"), g, "axonn")) for g in (16, 32, 64, 128)]
-        wrn = [simulate_batch(get_spec("wideresnet-101"), g, "axonn+samo").speedup_over(
-            simulate_batch(get_spec("wideresnet-101"), g, "axonn")) for g in (16, 32, 64, 128)]
+    def test_cnn_speedup_bands(self, session):
+        vgg, wrn = (
+            [
+                session.breakdown(Job(model=name, n_gpus=g, framework="axonn+samo"))
+                .speedup_over(session.breakdown(Job(model=name, n_gpus=g)))
+                for g in (16, 32, 64, 128)
+            ]
+            for name in ("vgg19", "wideresnet-101")
+        )
         assert 5 <= min(vgg) and max(vgg) <= 55
         assert 3 <= min(wrn) and max(wrn) <= 20
 
-    def test_batch_divisibility_enforced(self):
+    def test_batch_divisibility_enforced(self, session):
         with pytest.raises(ValueError):
-            simulate_batch(get_spec("vgg19"), 48, "axonn")  # 128 % 48 != 0
+            session.breakdown(Job(model="vgg19", n_gpus=48, framework="axonn"))  # 128 % 48 != 0
 
 
 class TestBreakdown:
-    def test_fig8_phase_shift(self):
+    def test_fig8_phase_shift(self, session):
         """p2p savings dominate at 128 GPUs; bubble+collective by 512."""
         spec = get_spec("gpt3-2.7b")
         saves = {}
         for g in (128, 512):
-            a = simulate_batch(spec, g, "axonn")
-            s = simulate_batch(spec, g, "axonn+samo")
+            a = session.breakdown(Job(model=spec.name, n_gpus=g))
+            s = session.breakdown(Job(model=spec.name, n_gpus=g, framework="axonn+samo"))
             saves[g] = {
                 "p2p": (a.p2p - s.p2p) / a.total,
                 "rest": (a.bubble - s.bubble + a.collective - s.collective) / a.total,
@@ -172,58 +189,52 @@ class TestBreakdown:
         assert saves[128]["p2p"] > saves[128]["rest"]
         assert saves[512]["rest"] > saves[512]["p2p"]
 
-    def test_total_is_sum_of_phases(self):
-        b = simulate_batch(get_spec("gpt3-xl"), 128, "axonn")
+    def test_total_is_sum_of_phases(self, session):
+        b = session.breakdown(Job(model="gpt3-xl", n_gpus=128, framework="axonn"))
         assert b.total == pytest.approx(b.compute + b.p2p + b.bubble + b.collective + b.other)
 
-    def test_communication_property(self):
-        b = simulate_batch(get_spec("gpt3-xl"), 128, "axonn")
+    def test_communication_property(self, session):
+        b = session.breakdown(Job(model="gpt3-xl", n_gpus=128, framework="axonn"))
         assert b.communication == pytest.approx(b.p2p + b.bubble + b.collective)
 
-    def test_samo_total_comm_reduction_band(self):
+    def test_samo_total_comm_reduction_band(self, session):
         """Paper: total communication reduction is ~33-40% of AxoNN's
         batch time for 2.7B at 128-512 GPUs."""
         spec = get_spec("gpt3-2.7b")
         for g in (128, 256, 512):
-            a = simulate_batch(spec, g, "axonn")
-            s = simulate_batch(spec, g, "axonn+samo")
+            a = session.breakdown(Job(model=spec.name, n_gpus=g))
+            s = session.breakdown(Job(model=spec.name, n_gpus=g, framework="axonn+samo"))
             red = (a.communication - s.communication) / a.total
             assert 0.15 < red < 0.45, (g, red)
 
-    def test_compress_overhead_band(self):
+    def test_compress_overhead_band(self, session):
         """SAMO overhead is ~5-13% of AxoNN's batch time (paper: 8-12%)."""
         spec = get_spec("gpt3-2.7b")
         for g in (128, 256, 512):
-            a = simulate_batch(spec, g, "axonn")
-            s = simulate_batch(spec, g, "axonn+samo")
+            a = session.breakdown(Job(model=spec.name, n_gpus=g))
+            s = session.breakdown(Job(model=spec.name, n_gpus=g, framework="axonn+samo"))
             frac = s.notes["overhead"] / a.total
             assert 0.04 < frac < 0.14, (g, frac)
 
-    def test_as_row_keys(self):
-        row = simulate_batch(get_spec("gpt3-xl"), 64, "axonn").as_row()
+    def test_as_row_keys(self, session):
+        row = session.breakdown(Job(model="gpt3-xl", n_gpus=64, framework="axonn")).as_row()
         assert {"framework", "gpus", "total_s", "G_inter"} <= set(row)
 
     def test_unknown_framework(self):
-        with pytest.raises(KeyError):
-            simulate_batch(get_spec("gpt3-xl"), 64, "megatron")
-
-    def test_wrapper_modules_agree_with_engine(self):
-        spec = get_spec("gpt3-xl")
-        assert simulate_samo_batch(spec, 128).total == simulate_batch(spec, 128, "axonn+samo").total
-        assert simulate_deepspeed_batch(spec, 128).total == simulate_batch(spec, 128, "deepspeed-3d").total
-        assert simulate_sputnik_batch(spec, 128).total == simulate_batch(spec, 128, "sputnik").total
+        with pytest.raises(ValueError, match="unknown framework"):
+            Job(model="gpt3-xl", n_gpus=64, framework="megatron")
 
 
 class TestTableII:
-    def test_throughput_ordering_and_band(self):
+    def test_throughput_ordering_and_band(self, session):
         """Table II: SAMO > AxoNN ~ DeepSpeed > Sputnik; AxoNN ~20-45%,
         SAMO ~30-55%, declining with scale."""
-        spec = get_spec("gpt3-13b")
         flops = narayanan_transformer_flops(2048, 2048, 40, 5120, 50257)
         prev_samo = 100.0
         for g in (256, 512, 1024, 2048):
+            job = Job(model="gpt3-13b", n_gpus=g)
             pct = {
-                fw: percent_of_peak(flops, simulate_batch(spec, g, fw).total, g)
+                fw: percent_of_peak(flops, session.breakdown(job.with_(framework=fw)).total, g)
                 for fw in FRAMEWORKS
             }
             assert pct["axonn+samo"] > pct["axonn"]

@@ -5,8 +5,10 @@ import pytest
 
 from repro.cluster import SUMMIT, EventLoop
 from repro.cluster.calibration import SummitCalibration
-from repro.models import GPT_CONFIGS, GPTConfig, get_spec
-from repro.parallel import BatchBreakdown, ParallelConfig, simulate_batch
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
+from repro.models import GPT_CONFIGS, GPTConfig
+from repro.parallel import BatchBreakdown, ParallelConfig
 from repro.tensor import Tensor, functional as F
 
 
@@ -26,10 +28,10 @@ class TestCalibration:
     def test_custom_calibration_changes_results(self):
         import dataclasses
 
-        spec = get_spec("gpt3-xl")
         slow = dataclasses.replace(SummitCalibration(), coll_beta=1e9)
-        a = simulate_batch(spec, 128, "axonn")
-        b = simulate_batch(spec, 128, "axonn", cal=slow)
+        job = Job(model="gpt3-xl", n_gpus=128)
+        a = Session(Machine(), cache=EvaluationCache()).breakdown(job)
+        b = Session(Machine(cal=slow), cache=EvaluationCache()).breakdown(job)
         assert b.collective > a.collective
 
 
@@ -129,20 +131,20 @@ class TestWhereMask:
 
 class TestSimulateBatchNotes:
     def test_notes_and_memory_fields_populated(self):
-        b = simulate_batch(get_spec("gpt3-xl"), 128, "axonn+samo")
+        b = Session().breakdown(Job(model="gpt3-xl", n_gpus=128, framework="axonn+samo"))
         assert b.memory_per_gpu > 0
         assert "mode" in b.notes and b.notes["mode"] == "samo"
         assert b.notes["overhead"] > 0
 
     def test_mbs_scaling(self):
         """Larger microbatches -> fewer messages -> less p2p time."""
-        spec = get_spec("gpt3-2.7b")
-        b1 = simulate_batch(spec, 128, "axonn", mbs=1)
-        b2 = simulate_batch(spec, 128, "axonn", mbs=2)
+        job = Job(model="gpt3-2.7b", n_gpus=128)
+        b1 = Session().breakdown(job.with_(mbs=1))
+        b2 = Session().breakdown(job.with_(mbs=2))
         assert b2.p2p < b1.p2p
 
     def test_sparsity_affects_samo_memory(self):
-        spec = get_spec("gpt3-2.7b")
-        lo = simulate_batch(spec, 128, "axonn+samo", sparsity=0.8)
-        hi = simulate_batch(spec, 128, "axonn+samo", sparsity=0.95)
+        job = Job(model="gpt3-2.7b", n_gpus=128, framework="axonn+samo")
+        lo = Session().breakdown(job.with_(sparsity=0.8))
+        hi = Session().breakdown(job.with_(sparsity=0.95))
         assert hi.memory_per_gpu <= lo.memory_per_gpu

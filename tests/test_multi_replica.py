@@ -15,7 +15,8 @@ import pytest
 
 from repro.cluster import Topology
 from repro.models import get_spec
-from repro.parallel import simulate_batch, simulate_hetero_pipeline
+from repro.api import Job, Session
+from repro.parallel import simulate_hetero_pipeline
 
 
 class TestReplicaPlacement:
@@ -107,7 +108,7 @@ class TestSlowestReplicaPricing:
         it can only grow relative to a replica-0-only chain priced on a
         single-replica machine with the same decomposition."""
         spec = get_spec("gpt3-xl")
-        b = simulate_batch(spec, 64, "axonn", pipeline_fidelity="sim")
+        b = Session().breakdown(Job(model="gpt3-xl", n_gpus=64, fidelity="sim"))
         g_inter = b.config.g_inter
         m = b.config.microbatches
         t_f, t_b = b.notes["t_f"], b.notes["t_b"]

@@ -24,7 +24,6 @@ import pytest
 from repro.api import Job, Machine, Session
 from repro.autotune import EvaluationCache
 from repro.cluster.events import EventLoop, SerialResource
-from repro.models import get_spec
 from repro.obs import (
     NULL_REGISTRY,
     NULL_TRACER,
@@ -39,7 +38,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.parallel import simulate_batch, simulate_pipeline
+from repro.parallel import simulate_pipeline
 from repro.parallel.scenarios import overlap_exposed_collective
 
 
@@ -61,21 +60,24 @@ class TestNoOpParity:
         assert OBS.metrics is NULL_REGISTRY
         assert not OBS.enabled
 
+    # each side prices on a fresh cache: a stored cell would compare
+    # the baseline with itself
+
     def test_breakdown_identical_enabled_vs_disabled(self):
-        spec = get_spec("gpt3-2.7b")
-        baseline = simulate_batch(spec, 128, "axonn", sparsity=0.9)
+        job = Job(model="gpt3-2.7b", n_gpus=128, sparsity=0.9)
+        baseline = Session(Machine(), cache=EvaluationCache()).breakdown(job)
         with observed(tracer=Tracer(), metrics=MetricsRegistry()):
-            traced = simulate_batch(spec, 128, "axonn", sparsity=0.9)
+            traced = Session(Machine(), cache=EvaluationCache()).breakdown(job)
         assert traced.to_dict() == baseline.to_dict()
 
     def test_overlap_run_identical_enabled_vs_disabled(self):
-        spec = get_spec("gpt3-2.7b")
-        baseline = simulate_batch(
-            spec, 128, "axonn", scenario="degraded-ring", overlap=True
+        job = Job(model="gpt3-2.7b", n_gpus=128, overlap=True)
+        baseline = Session(Machine(), cache=EvaluationCache()).breakdown(
+            job, scenario="degraded-ring"
         )
         with observed(tracer=Tracer(), metrics=MetricsRegistry()):
-            traced = simulate_batch(
-                spec, 128, "axonn", scenario="degraded-ring", overlap=True
+            traced = Session(Machine(), cache=EvaluationCache()).breakdown(
+                job, scenario="degraded-ring"
             )
         assert traced.total == baseline.total
         assert traced.collective == baseline.collective

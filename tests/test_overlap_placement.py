@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 from repro.comm import run_parallel
 from repro.models import get_spec
 from repro.parallel import (
@@ -26,7 +27,6 @@ from repro.parallel import (
     block_placement,
     overlap_exposed_collective,
     place_replicas,
-    simulate_batch,
 )
 from repro.parallel.placement import optimize_placement
 from repro.parallel.scenarios import _topology
@@ -105,17 +105,16 @@ class TestOverlapBreakdown:
         assert ov.p2p == add.p2p
 
     def test_overlap_false_knob_is_byte_identical(self):
-        spec = get_spec("gpt3-2.7b")
-        base = simulate_batch(spec, 128, "axonn", pipeline_fidelity="sim")
-        explicit = simulate_batch(
-            spec, 128, "axonn", pipeline_fidelity="sim",
-            overlap=False, placement="block",
+        job = Job(model="gpt3-2.7b", n_gpus=128, fidelity="sim")
+        base = Session(Machine(), cache=EvaluationCache()).breakdown(job)
+        explicit = Session(Machine(), cache=EvaluationCache()).breakdown(
+            job.with_(overlap=False, placement="block")
         )
         assert explicit.to_dict() == base.to_dict()
 
     def test_overlap_implies_sim_fidelity(self, session):
         b = session.breakdown(Job(model="gpt3-2.7b", n_gpus=128, overlap=True))
-        assert b.notes["pipeline_fidelity"] == "sim"
+        assert b.notes["fidelity"] == "sim+overlap"
         assert b.notes["overlap"] is True
 
     def test_analytic_with_overlap_raises_everywhere(self, session):
@@ -124,11 +123,6 @@ class TestOverlapBreakdown:
             session.breakdown(job)
         with pytest.raises(ValueError, match="overlap"):
             session.plan(job)
-        with pytest.raises(ValueError, match="overlap"):
-            simulate_batch(
-                get_spec("gpt3-2.7b"), 128, "axonn",
-                pipeline_fidelity="analytic", overlap=True,
-            )
 
     def test_synchronous_pipeline_keeps_additive(self, session):
         """deepspeed-3d has no asynchronous drain to hide behind."""

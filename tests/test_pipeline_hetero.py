@@ -4,20 +4,21 @@ Covers the uniform/free-message degeneracy (the engine must reproduce
 Eq. 6-7 exactly), the deadlock guard under skewed stage times, per-link
 delays and FIFO scheduling, link-contention serialization, the ascii
 renderer's partial-final-column fix, and the threading of scenarios
-through ``simulate_batch``, the sim estimator, and the planner.
+through ``Session.breakdown``, the sim estimator, and the planner.
 """
 
 import pytest
 
+from repro.api import Job, Machine, Session
+from repro.autotune import EvaluationCache
 from repro.cluster import SerialResource, Topology
 from repro.models import get_spec
 from repro.parallel import (
     SCENARIOS,
-    PipelineScenario,
+    ClusterScenario,
     bubble_time,
     get_scenario,
     run_scenario,
-    simulate_batch,
     simulate_hetero_pipeline,
     simulate_pipeline,
 )
@@ -206,7 +207,7 @@ class TestScenarios:
         assert scaled[0] < scaled[-1]
 
     def test_indices_resolve_modulo_depth(self):
-        sc = PipelineScenario("x", straggler_stage=-1, straggler_factor=2.0)
+        sc = ClusterScenario("x", straggler_stage=-1, straggler_factor=2.0)
         assert sc.scale_stage_times([1.0, 1.0, 1.0]) == [1.0, 1.0, 2.0]
 
     def test_unknown_scenario_rejected(self):
@@ -258,11 +259,10 @@ class TestModelDerivedPipeline:
 
 class TestBatchModelThreading:
     def test_sim_fidelity_runs_and_folds_p2p(self):
-        spec = get_spec("gpt3-2.7b")
-        b = simulate_batch(spec, 256, "axonn", pipeline_fidelity="sim")
+        b = Session().breakdown(Job(model="gpt3-2.7b", n_gpus=256, fidelity="sim"))
         assert b.p2p == 0.0
         assert b.bubble > 0.0
-        assert b.notes["pipeline_fidelity"] == "sim"
+        assert b.notes["fidelity"] == "sim"
 
     def test_scenario_implies_sim_and_costs_more(self):
         """A straggler slow enough to dominate the bottleneck stage must
@@ -270,34 +270,34 @@ class TestBatchModelThreading:
         an already-skewed schedule — a Graham-style scheduling anomaly
         the event-driven engine captures and the closed form cannot —
         so the test pins a dominating factor.)"""
-        spec = get_spec("gpt3-2.7b")
-        base = simulate_batch(spec, 256, "axonn", pipeline_fidelity="sim")
-        hard = PipelineScenario(
+        job = Job(model="gpt3-2.7b", n_gpus=256)
+        base = Session().breakdown(job.with_(fidelity="sim"))
+        hard = ClusterScenario(
             "hard-straggler", straggler_stage=-1, straggler_factor=3.0
         )
-        strag = simulate_batch(spec, 256, "axonn", scenario=hard)
-        assert strag.notes["pipeline_fidelity"] == "sim"
+        strag = Session().breakdown(job, scenario=hard)
+        assert strag.notes["fidelity"] == "sim@hard-straggler"
         assert strag.total > base.total
 
     def test_sim_close_to_analytic_for_uniform_models(self):
         """GPT stage loads are near-uniform, so the sim path should land
         near the closed form (warmup/messaging effects only)."""
-        spec = get_spec("gpt3-2.7b")
-        analytic = simulate_batch(spec, 256, "axonn")
-        sim = simulate_batch(spec, 256, "axonn", pipeline_fidelity="sim")
+        job = Job(model="gpt3-2.7b", n_gpus=256)
+        analytic = Session().breakdown(job)
+        sim = Session().breakdown(job.with_(fidelity="sim"))
         assert sim.total == pytest.approx(analytic.total, rel=0.35)
 
     def test_bad_fidelity_rejected(self):
         with pytest.raises(ValueError):
-            simulate_batch(get_spec("gpt3-xl"), 64, "axonn", pipeline_fidelity="exact")
+            Session().breakdown(Job(model="gpt3-xl", n_gpus=64, fidelity="exact"))
 
 
 class TestPlannerScenario:
     def test_plan_under_straggler(self):
-        from repro.autotune import plan
-
-        res = plan("gpt3-xl", 32, fidelity="sim", scenario="straggler",
-                   microbatch_sizes=(1,))
+        res = Session(Machine(), cache=EvaluationCache()).plan(
+            Job(model="gpt3-xl", n_gpus=32, fidelity="sim"),
+            scenario="straggler", microbatch_sizes=(1,),
+        )
         assert res.fidelity == "sim@straggler"
         assert res.best.fidelity == "sim@straggler"
         assert res.best.total_time > 0
@@ -318,33 +318,30 @@ class TestPlannerScenario:
         assert degraded.total_time > clean.total_time
 
     def test_scenario_requires_sim(self):
-        from repro.autotune import Planner
-
         with pytest.raises(ValueError):
-            Planner("gpt3-xl", 32, fidelity="analytic", scenario="straggler")
+            Session().plan(
+                Job(model="gpt3-xl", n_gpus=32, fidelity="analytic"), scenario="straggler"
+            )
 
     def test_scenario_changes_cache_identity(self):
-        from repro.autotune.cache import make_cache_key
+        from repro.autotune.cache import evaluation_cache_key
         from repro.autotune.config import CandidateConfig
         from repro.cluster import SUMMIT
 
         spec = get_spec("gpt3-xl")
         cfg = CandidateConfig.create("axonn", g_inter=4, g_data=8)
-        assert make_cache_key(spec, SUMMIT, "sim", cfg) != make_cache_key(
-            spec, SUMMIT, "sim@straggler", cfg
+        assert evaluation_cache_key(SUMMIT, spec, "sim", cfg) != evaluation_cache_key(
+            SUMMIT, spec, "sim@straggler", cfg
         )
 
     def test_same_name_different_params_do_not_alias(self):
         """Regression: cache keys once carried only the scenario *name*,
         so re-planning with a reparameterised scenario of the same name
         returned the first run's stale evaluations."""
-        from repro.autotune import Planner
-        from repro.autotune.cache import EvaluationCache
-
-        cache = EvaluationCache()
-        mild = PipelineScenario("s", straggler_stage=-1, straggler_factor=1.0)
-        harsh = PipelineScenario("s", straggler_stage=-1, straggler_factor=50.0)
-        kwargs = dict(fidelity="sim", microbatch_sizes=(1,), cache=cache)
+        session = Session(Machine(), cache=EvaluationCache())
+        job = Job(model="gpt3-xl", n_gpus=32, fidelity="sim")
+        mild = ClusterScenario("s", straggler_stage=-1, straggler_factor=1.0)
+        harsh = ClusterScenario("s", straggler_stage=-1, straggler_factor=50.0)
 
         def pipelined_bubbles(res):
             return {
@@ -353,8 +350,8 @@ class TestPlannerScenario:
                 if e.config.g_inter > 1
             }
 
-        b_mild = pipelined_bubbles(Planner("gpt3-xl", 32, scenario=mild, **kwargs).plan())
-        b_harsh = pipelined_bubbles(Planner("gpt3-xl", 32, scenario=harsh, **kwargs).plan())
+        b_mild = pipelined_bubbles(session.plan(job, scenario=mild, microbatch_sizes=(1,)))
+        b_harsh = pipelined_bubbles(session.plan(job, scenario=harsh, microbatch_sizes=(1,)))
         shared = set(b_mild) & set(b_harsh)
         assert shared
         assert all(b_harsh[c] > b_mild[c] for c in shared)

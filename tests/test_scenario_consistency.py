@@ -33,15 +33,14 @@ from repro.cluster import (
     ring_allreduce_time,
     ring_reduce_scatter_time,
 )
+from repro.api import Job, Session
 from repro.models import get_spec
 from repro.parallel import (
     SCENARIOS,
     ClusterScenario,
-    PipelineScenario,
     bubble_time,
     collective_time,
     run_scenario,
-    simulate_batch,
 )
 
 NEUTRAL = ClusterScenario("neutral", "every knob at its identity value")
@@ -93,9 +92,9 @@ class TestNeutralScenarioParity:
     def test_batch_model_neutral_equals_scenario_free(self, framework, n_gpus):
         """Passing the neutral scenario must equal the scenario-free sim
         path in every phase (the collective phase bit-exactly)."""
-        spec = get_spec("gpt3-xl")
-        base = simulate_batch(spec, n_gpus, framework, pipeline_fidelity="sim")
-        neutral = simulate_batch(spec, n_gpus, framework, scenario=NEUTRAL)
+        job = Job(model="gpt3-xl", n_gpus=n_gpus, framework=framework)
+        base = Session().breakdown(job.with_(fidelity="sim"))
+        neutral = Session().breakdown(job, scenario=NEUTRAL)
         assert neutral.collective == base.collective
         assert neutral.compute == base.compute
         assert neutral.bubble == pytest.approx(base.bubble, rel=1e-12)
@@ -107,13 +106,6 @@ class TestNeutralScenarioParity:
         assert sc.collective_beta_multiplier(8) == 1.0
         assert sc.collective_stall_factor(8) == 1.0
 
-    def test_cluster_scenario_is_pipeline_scenario(self):
-        """PR 2 call sites constructed PipelineScenario; the collective
-        extension must not have forked the type."""
-        assert PipelineScenario is ClusterScenario
-        sc = PipelineScenario("x", straggler_stage=-1, straggler_factor=2.0)
-        assert sc.scale_stage_times([1.0, 1.0]) == [1.0, 2.0]
-
 
 class TestMonotoneDegradation:
     """(b): every knob, turned further, never cheapens the batch."""
@@ -121,8 +113,8 @@ class TestMonotoneDegradation:
     SPEC = "gpt3-xl"
 
     def _totals(self, make, values):
-        spec = get_spec(self.SPEC)
-        return [simulate_batch(spec, 64, "axonn", scenario=make(v)).total for v in values]
+        job = Job(model=self.SPEC, n_gpus=64)
+        return [Session().breakdown(job, scenario=make(v)).total for v in values]
 
     def test_cross_node_multiplier_monotone(self):
         totals = self._totals(
@@ -223,14 +215,10 @@ class TestScenarioPresets:
         assert sc.collective_beta_multiplier(1) == 1.0  # trivial group
 
     def test_planner_ranks_under_collective_scenario(self):
-        from repro.autotune import plan
-
-        res = plan(
-            "gpt3-xl", 32, fidelity="sim", scenario="degraded-ring",
-            microbatch_sizes=(1,),
-        )
+        job = Job(model="gpt3-xl", n_gpus=32, fidelity="sim")
+        res = Session().plan(job, scenario="degraded-ring", microbatch_sizes=(1,))
         assert res.fidelity == "sim@degraded-ring"
-        clean = plan("gpt3-xl", 32, fidelity="sim", microbatch_sizes=(1,))
+        clean = Session().plan(job, microbatch_sizes=(1,))
         degraded = {e.config: e for e in res.evaluations}
         for ev in clean.evaluations:
             if ev.config in degraded and ev.config.g_data > 1:
@@ -267,7 +255,7 @@ class TestScenarioPresets:
             ClusterScenario("x", ring_link_multipliers=(1.0, 0.0))
 
     def test_list_multipliers_coerced_hashable(self):
-        """Planner cache keys hash the scenario; list input must not
+        """Evaluation-cache keys hash the scenario; list input must not
         break that."""
         sc = ClusterScenario("x", ring_link_multipliers=[0.5, 1.0])
         assert sc.ring_link_multipliers == (0.5, 1.0)

@@ -4,12 +4,12 @@ paper's closed-form equations (Eqs. 6-11)."""
 import numpy as np
 import pytest
 
+from repro.api import Job, Session
 from repro.cluster import SUMMIT, DeviceModel, p2p_message_time, pipeline_message_bytes
 from repro.models import get_spec
 from repro.parallel import (
     bubble_time,
     microbatches_per_gpu,
-    simulate_batch,
     simulate_pipeline,
     transmission_time,
 )
@@ -18,7 +18,7 @@ from repro.parallel import (
 class TestModelVsEventSimulator:
     @pytest.mark.parametrize("g_inter,m", [(2, 8), (4, 8), (8, 16)])
     def test_bubble_agreement(self, g_inter, m):
-        """simulate_batch's bubble equals the event simulator's idle time
+        """The breakdown's Eq. 7 bubble equals the event simulator's idle time
         for the same stage times (free messages)."""
         t_f, t_b = 0.02, 0.06
         trace = simulate_pipeline(g_inter, m, t_f, t_b)
@@ -29,7 +29,7 @@ class TestModelVsEventSimulator:
         """The engine's p2p phase is exactly Eq. 9 with the α-β message
         cost (no hidden fudge factors for AxoNN)."""
         spec = get_spec("gpt3-2.7b")
-        b = simulate_batch(spec, 256, "axonn")
+        b = Session().breakdown(Job(model=spec.name, n_gpus=256, framework="axonn"))
         g_inter, g_data = b.config.g_inter, b.config.g_data
         msg_bytes = pipeline_message_bytes(1, 2048 * 2560)
         t_msg = p2p_message_time(msg_bytes)
@@ -38,7 +38,7 @@ class TestModelVsEventSimulator:
 
     def test_batch_bubble_equals_eq7(self):
         spec = get_spec("gpt3-2.7b")
-        b = simulate_batch(spec, 256, "axonn")
+        b = Session().breakdown(Job(model=spec.name, n_gpus=256, framework="axonn"))
         device = DeviceModel(SUMMIT)
         t_f_model = device.time(spec.fwd_flops_per_sample())
         expected = bubble_time(b.config.g_inter, t_f_model, 3 * t_f_model)
@@ -48,22 +48,22 @@ class TestModelVsEventSimulator:
         """Total compute per GPU = batch flops / G regardless of the
         decomposition (before SAMO overhead)."""
         spec = get_spec("gpt3-6.7b")
-        a = simulate_batch(spec, 512, "axonn")
-        d = simulate_batch(spec, 512, "deepspeed-3d")
+        a = Session().breakdown(Job(model=spec.name, n_gpus=512, framework="axonn"))
+        d = Session().breakdown(Job(model=spec.name, n_gpus=512, framework="deepspeed-3d"))
         assert a.compute == pytest.approx(d.compute, rel=1e-9)
 
     def test_deepspeed_penalty_is_p2p_only(self):
         spec = get_spec("gpt3-6.7b")
-        a = simulate_batch(spec, 512, "axonn")
-        d = simulate_batch(spec, 512, "deepspeed-3d")
+        a = Session().breakdown(Job(model=spec.name, n_gpus=512, framework="axonn"))
+        d = Session().breakdown(Job(model=spec.name, n_gpus=512, framework="deepspeed-3d"))
         assert d.p2p == pytest.approx(a.p2p * SUMMIT.deepspeed_p2p_penalty, rel=1e-9)
         assert d.bubble == pytest.approx(a.bubble, rel=1e-9)
         assert d.collective == pytest.approx(a.collective, rel=1e-9)
 
     def test_sputnik_compute_scaled_by_slowdown(self):
         spec = get_spec("gpt3-2.7b")
-        sam = simulate_batch(spec, 512, "axonn+samo")
-        spu = simulate_batch(spec, 512, "sputnik")
+        sam = Session().breakdown(Job(model=spec.name, n_gpus=512, framework="axonn+samo"))
+        spu = Session().breakdown(Job(model=spec.name, n_gpus=512, framework="sputnik"))
         if spu.config.g_inter == sam.config.g_inter:
             base = sam.compute - sam.notes["overhead"]
             assert spu.compute == pytest.approx(base * SUMMIT.sputnik_compute_slowdown, rel=1e-6)
