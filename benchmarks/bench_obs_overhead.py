@@ -23,6 +23,7 @@ from repro.api import Job, Machine, Session
 from repro.autotune import EvaluationCache
 from repro.obs import MetricsRegistry, Tracer, observed
 from repro.cluster.events import EventLoop
+from repro.parallel.pipeline import SCHEDULE_CACHE
 
 N_EVENTS = 100_000
 REPEATS = 7
@@ -76,8 +77,10 @@ def test_disabled_overhead_under_budget(report):
     overhead = instr / base - 1.0
 
     # macro scale: one sim-fidelity breakdown, disabled vs enabled, each
-    # priced on a fresh cache (a stored cell would time a cache hit)
+    # priced on a fresh cache (a stored cell would time a cache hit) and
+    # the disabled side on a cold schedule memo (the traced side bypasses it)
     job = Job(model="gpt3-2.7b", n_gpus=128, overlap=True)
+    SCHEDULE_CACHE.clear()
     t0 = time.perf_counter()
     disabled = Session(Machine(), EvaluationCache()).breakdown(job, scenario="degraded-ring")
     t_disabled = time.perf_counter() - t0

@@ -58,14 +58,15 @@ def test_scenario_sweep(report):
         assert by_name[name]["makespan (s)"] >= by_name["uniform"]["makespan (s)"]
 
 
-def test_bench_hetero_pipeline(benchmark):
+def test_bench_hetero_pipeline(benchmark, cold_simulate_pipeline):
     """Engine throughput with per-stage times, per-link delays, and
-    contention on (16 stages x 128 microbatches = 4k tasks)."""
+    contention on (16 stages x 128 microbatches = 4k tasks); every timed
+    call runs the kernel."""
     g = 16
     tf = [0.01 * (1 + 0.05 * i) for i in range(g)]
     tb = [3 * t for t in tf]
     links = [0.002 if (i + 1) % 6 else 0.008 for i in range(g - 1)]
     tr = benchmark(
-        simulate_pipeline, g, 128, tf, tb, msg_time=links, link_contention=True
+        cold_simulate_pipeline, g, 128, tf, tb, msg_time=links, link_contention=True
     )
     assert tr.makespan > 0

@@ -11,6 +11,8 @@ import pathlib
 
 import pytest
 
+from repro.parallel.pipeline import SCHEDULE_CACHE, simulate_pipeline
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -25,3 +27,15 @@ def report():
         print(f"\n===== {name} =====\n{text}\n(saved to {path})")
 
     return _write
+
+
+@pytest.fixture
+def cold_simulate_pipeline():
+    """``simulate_pipeline`` with the schedule memo cleared before each
+    call, so an engine-timing bench times the kernel, never a memo hit."""
+
+    def _run(*args, **kwargs):
+        SCHEDULE_CACHE.clear()
+        return simulate_pipeline(*args, **kwargs)
+
+    return _run

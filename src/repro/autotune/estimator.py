@@ -133,9 +133,11 @@ def candidate_memory_per_gpu(
 class Evaluation:
     """Costed candidate: the Figure-8 breakdown plus memory feasibility.
 
-    A stored cell never changes, so :attr:`fragment` keeps its wire form,
-    ``json.dumps(self.to_dict())``, once ``repro.serve.server`` first
-    encodes it (outside ``==``, hash and repr).
+    A stored cell never changes, so :attr:`fragment` can keep its wire
+    form, ``json.dumps(self.to_dict())``: ``repro.serve.server`` sets it
+    to ``""`` on the cell's first encode and to the text on its second,
+    so a cell encoded only once keeps no text (outside ``==``, hash and
+    repr).
     """
 
     config: CandidateConfig

@@ -15,20 +15,30 @@ nodes, derived from :meth:`repro.cluster.Topology.pipeline_link_times`),
 and ``link_contention=True`` serializes messages that share a link
 (half-duplex: the forward activation and backward gradient crossing the
 same stage boundary queue behind each other).
+
+The kernel is a pure function of its inputs, and planners ask for the
+same chains again and again: a question's sparsity moves no stage or
+link time, so a fresh sparsity prices chains already priced. Untraced
+calls to :func:`simulate_pipeline` therefore answer through
+:data:`SCHEDULE_CACHE`, a bounded memo of each chain's summary; a hit
+re-derives its task rows only if something reads them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import threading
+from array import array
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain
 from math import ceil, floor
 from typing import Sequence
 
 from ..obs import OBS
 
-__all__ = ["TaskRecord", "PipelineTrace", "simulate_pipeline"]
+__all__ = ["TaskRecord", "PipelineTrace", "ScheduleCache", "SCHEDULE_CACHE", "simulate_pipeline"]
 
 
 @dataclass(frozen=True)
@@ -42,14 +52,18 @@ class TaskRecord:
     end: float
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineTrace:
     """Result of a pipeline simulation.
 
     The schedule itself is kept as compact rows; :attr:`tasks` and
     :attr:`link_windows` build their records on first read, so callers
     that only need the makespan (planner candidates, placement search)
-    never pay for them.
+    never pay for them. A trace answered from :data:`SCHEDULE_CACHE`
+    carries no rows at all: the first read of :attr:`task_rows` or
+    :attr:`window_rows` re-derives them by running the kernel on the
+    trace's own inputs (no counter, no span). ``==`` and ``repr`` read
+    the same whether or not that has happened.
     """
 
     g_inter: int
@@ -66,17 +80,54 @@ class PipelineTrace:
     link_times: list[float] = field(default_factory=list)
     #: per-link seconds the link spent occupied (contended runs only)
     link_busy: list[float] = field(default_factory=list)
+    #: each stage's last backward task as ``(start, end)``: the drain
+    #: window the overlap replay hides gradient buckets behind
+    drain: list[tuple[float, float]] = field(default_factory=list, repr=False)
     #: data-parallel replicas whose chains were priced to produce this
     #: trace (``simulate_hetero_pipeline`` keeps the slowest replica's
     #: schedule; a bare ``simulate_pipeline`` call is one chain)
     n_replicas: int = 1
     #: index of the replica whose chain this trace belongs to
     slowest_replica: int = 0
-    #: executed tasks as ``(gpu, kind, microbatch, start, end)`` rows in
-    #: completion order
-    task_rows: list[tuple] = field(default_factory=list, repr=False)
-    #: per-link transfer windows as ``(start, end, kind, microbatch)`` rows
-    window_rows: list[list[tuple]] = field(default_factory=list, repr=False)
+    #: the four scheduling flags of the run, in signature order
+    _flags: tuple = field(default=(False, True, True, False), repr=False)
+    #: ``(task_rows, window_rows)`` once computed or re-derived
+    _schedule: tuple | None = field(default=None, repr=False)
+
+    __hash__ = None
+
+    def _rows(self) -> tuple:
+        schedule = self._schedule
+        if schedule is None:
+            schedule = self._schedule = _kernel(
+                self.g_inter, self.n_microbatches, self.t_f_stages,
+                self.t_b_stages, self.link_times, *self._flags,
+            )[4:]
+        return schedule
+
+    @property
+    def task_rows(self) -> list[tuple]:
+        """Executed tasks as ``(gpu, kind, microbatch, start, end)`` rows
+        in completion order."""
+        return self._rows()[0]
+
+    @property
+    def window_rows(self) -> list[list[tuple]]:
+        """Per-link transfer windows as ``(start, end, kind, microbatch)`` rows."""
+        return self._rows()[1]
+
+    def _fields(self) -> tuple:
+        return (
+            self.g_inter, self.n_microbatches, self.makespan, self.peak_in_flight,
+            self.t_f_stages, self.t_b_stages, self.link_times, self.link_busy,
+            self.drain, self.n_replicas, self.slowest_replica,
+            self.task_rows, self.window_rows,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     @cached_property
     def tasks(self) -> list[TaskRecord]:
@@ -147,6 +198,55 @@ class PipelineTrace:
 _START, _DONE, _ARRIVE, _RELEASE = range(4)
 _EVENT_NAMES = ("start", "compute_done", "arrive", "release")
 
+#: chains :data:`SCHEDULE_CACHE` keeps: sim-cold's working set is 132
+#: chains and one best-placement search of gpt3-13b on 64 GPUs 866; an
+#: entry is 0.76-2.7 kB (G_inter 8 to 43, the deepest chain the planner
+#: builds), so a full cache holds at most 2.7 MiB, under 5% of a server
+SCHEDULE_CACHE_ENTRIES = 1024
+
+
+class ScheduleCache:
+    """A bounded, thread-safe LRU of simulated 1F1B chains.
+
+    Keyed on the kernel's complete normalized input: ``g_inter``,
+    ``n_microbatches``, the bytes of the per-stage ``t_f``/``t_b`` and
+    per-link times as doubles, and the four scheduling flags. Each entry
+    is a slim summary packed as doubles (makespan, peak in-flight, link
+    busy time, each stage's drain window), never task rows; the least
+    recently used chain is dropped past ``max_entries``. Racing misses on
+    one key both run the kernel and store equal summaries.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> array | None:
+        with self._lock:
+            summary = self._entries.get(key)
+            if summary is not None:
+                self._entries.move_to_end(key)
+            return summary
+
+    def put(self, key: tuple, summary: array) -> None:
+        with self._lock:
+            self._entries[key] = summary
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: the process-wide schedule memo behind :func:`simulate_pipeline`
+SCHEDULE_CACHE = ScheduleCache(SCHEDULE_CACHE_ENTRIES)
+
 
 def _per_stage(value: float | Sequence[float], n: int, name: str) -> list[float]:
     """Normalise a scalar-or-sequence time parameter to ``n`` floats."""
@@ -160,6 +260,14 @@ def _per_stage(value: float | Sequence[float], n: int, name: str) -> list[float]
         if v < 0:
             raise ValueError(f"{name} entries must be non-negative, got {v}")
     return out
+
+
+def _n_events(g_inter: int, n_microbatches: int, blocking_sends: bool) -> int:
+    """Events a complete chain processes: the opening ``start``, one
+    ``compute_done`` per task, one ``arrive`` per message and, blocking,
+    one ``release`` per message."""
+    n_msgs = 2 * (g_inter - 1) * n_microbatches
+    return 1 + 2 * g_inter * n_microbatches + n_msgs * (2 if blocking_sends else 1)
 
 
 def simulate_pipeline(
@@ -225,12 +333,88 @@ def simulate_pipeline(
     task. Ties at equal ``t`` pop in push order (``seq``), so the
     schedule is deterministic. ``events.processed`` counts the popped
     events and, when tracing, each one becomes an ``event`` span.
+
+    The kernel is a pure function of its normalized input, so untraced
+    calls go through :data:`SCHEDULE_CACHE`: a chain asked before is
+    answered from its summary (``pipeline.cache.hits``; the kernel runs
+    on a ``pipeline.cache.misses``), and ``events.processed`` counts the
+    chain's events either way. Rows of a hit are re-derived only when
+    read. With a tracer installed the kernel always runs, so every call
+    records its spans.
     """
     if g_inter < 1 or n_microbatches < 1:
         raise ValueError("g_inter and n_microbatches must be >= 1")
     t_f = _per_stage(t_f_stage, g_inter, "t_f_stage")
     t_b = _per_stage(t_b_stage, g_inter, "t_b_stage")
     link = _per_stage(msg_time, max(g_inter - 1, 0), "msg_time") if g_inter > 1 else []
+    flags = (
+        bool(blocking_sends), bool(prefer_backward), bool(bound_in_flight),
+        bool(link_contention),
+    )
+    log = [] if OBS.enabled else None
+    if log is None:
+        key = (g_inter, n_microbatches, array("d", t_f + t_b + link).tobytes(), *flags)
+        summary = SCHEDULE_CACHE.get(key)
+    else:
+        summary = None
+    metrics = OBS.metrics
+    if summary is None:
+        makespan, peak, link_busy, drain, rows, windows = _kernel(
+            g_inter, n_microbatches, t_f, t_b, link, *flags, log
+        )
+        schedule = (rows, windows)
+        if log is None:
+            metrics.counter("pipeline.cache.misses").inc()
+            SCHEDULE_CACHE.put(
+                key, array("d", [makespan, *peak, *link_busy, *chain.from_iterable(drain)])
+            )
+    else:
+        # unpack [makespan, peak x G, link busy x (G - 1), (start, end) x G]
+        metrics.counter("pipeline.cache.hits").inc()
+        values = summary.tolist()
+        makespan = values[0]
+        peak = [int(v) for v in values[1 : g_inter + 1]]
+        link_busy = values[g_inter + 1 : 2 * g_inter]
+        drain = list(zip(values[2 * g_inter :: 2], values[2 * g_inter + 1 :: 2]))
+        schedule = None
+    metrics.counter("events.processed").inc(_n_events(g_inter, n_microbatches, blocking_sends))
+    trace = PipelineTrace(
+        g_inter=g_inter,
+        n_microbatches=n_microbatches,
+        makespan=makespan,
+        peak_in_flight=peak,
+        t_f_stages=t_f,
+        t_b_stages=t_b,
+        link_times=link,
+        link_busy=link_busy,
+        drain=drain,
+        _flags=flags,
+        _schedule=schedule,
+    )
+    if log is not None:
+        _emit_event_spans(log)
+        _emit_pipeline_spans(trace)
+    return trace
+
+
+def _kernel(
+    g_inter: int,
+    n_microbatches: int,
+    t_f: Sequence[float],
+    t_b: Sequence[float],
+    link: Sequence[float],
+    blocking_sends: bool,
+    prefer_backward: bool,
+    bound_in_flight: bool,
+    link_contention: bool,
+    log: list | None = None,
+) -> tuple:
+    """The 1F1B loop on normalized inputs (see :func:`simulate_pipeline`).
+
+    Returns ``(makespan, peak_in_flight, link_busy, drain, task_rows,
+    window_rows)``; ``log``, when given, collects every popped event.
+    Touches no counter and emits no span.
+    """
     n_links = len(link)
     last = g_inter - 1
     # a stage may start a forward while it holds fewer than cap[g]; without
@@ -257,12 +441,13 @@ def simulate_pipeline(
     link_busy = [0.0] * n_links
     windows: list[list[tuple]] = [[] for _ in range(n_links)]
     rows: list[tuple] = []
-    log = [] if OBS.enabled else None
+    # each stage's last backward (start, end): a stage runs one task at a
+    # time, so its last completion is the one that ends last
+    drain: list = [None] * g_inter
 
     # every task finishes once and every message arrives (and, blocking,
     # releases its sender) once: exceeding this count is a kernel bug
-    n_msgs = 2 * last * n_microbatches
-    budget = 1 + 2 * g_inter * n_microbatches + n_msgs * (2 if blocking_sends else 1)
+    budget = _n_events(g_inter, n_microbatches, blocking_sends)
     # the opening event asks stage 0 for work at t = 0
     heap = [(0.0, 0, _START, 0, 0, 0.0, "F")]
     push, pop = heappush, heappop
@@ -317,6 +502,7 @@ def simulate_pipeline(
             busy[g] = False
             if kind == "B":
                 in_flight[g] -= 1
+                drain[g] = (start, t)
         elif op == _ARRIVE:
             if not prefer_backward:
                 arrivals[g].append((kind, mb))
@@ -329,6 +515,7 @@ def simulate_pipeline(
             busy[g] = False
             if kind == "B":
                 in_flight[g] -= 1
+                drain[g] = (start, t)
 
         # stage g looks for its next task
         if busy[g]:
@@ -366,7 +553,6 @@ def simulate_pipeline(
         push(heap, (t + dur, seq, _DONE, g, mb, t, kind))
         seq += 1
 
-    OBS.metrics.counter("events.processed").inc(seq - len(heap))
     if heap:
         raise RuntimeError(
             f"event budget exceeded ({budget}) after processing {budget} events; "
@@ -377,22 +563,7 @@ def simulate_pipeline(
             f"pipeline deadlock: executed {len(rows)} of "
             f"{2 * g_inter * n_microbatches} tasks"
         )
-    trace = PipelineTrace(
-        g_inter=g_inter,
-        n_microbatches=n_microbatches,
-        makespan=t,
-        peak_in_flight=peak,
-        t_f_stages=t_f,
-        t_b_stages=t_b,
-        link_times=link,
-        link_busy=link_busy,
-        task_rows=rows,
-        window_rows=windows,
-    )
-    if log is not None:
-        _emit_event_spans(log)
-        _emit_pipeline_spans(trace)
-    return trace
+    return t, peak, link_busy, drain, rows, windows
 
 
 def _emit_event_spans(log: list[tuple]) -> None:

@@ -112,11 +112,6 @@ class PlacementResult:
     default_makespan: float
     swaps: int = 0
     evaluations: int = 0
-    #: full-fidelity chain traces from the final verdict, keyed by the
-    #: (scenario-scaled) link-time profile — a cache handed back so the
-    #: caller pricing the placed chains need not re-simulate them; not
-    #: part of the serialized result
-    traces: dict | None = None
 
     @property
     def improvement_pct(self) -> float:
@@ -351,29 +346,25 @@ def place_replicas(
     search_m = m if search_microbatches is None else max(1, min(m, search_microbatches))
 
     def _chain_time_at(n_microbatches: int):
-        trace_memo: dict[tuple, object] = {}
-
+        # chains sharing a link profile are one entry of the schedule memo
         def chain_time(ranks: tuple) -> float:
-            profile = tuple(topo.pipeline_link_times(list(ranks), cut_payloads))
+            profile = topo.pipeline_link_times(list(ranks), cut_payloads)
             if scenario is not None:
-                profile = tuple(scenario.scale_link_times(list(profile)))
-            if profile not in trace_memo:
-                trace_memo[profile] = simulate_pipeline(
-                    g_inter,
-                    n_microbatches,
-                    t_f_stage=t_f_stages,
-                    t_b_stage=t_b_stages,
-                    msg_time=list(profile) if profile else 0.0,
-                    blocking_sends=blocking_sends,
-                    link_contention=contention,
-                )
-            return trace_memo[profile].makespan
+                profile = scenario.scale_link_times(profile)
+            return simulate_pipeline(
+                g_inter,
+                n_microbatches,
+                t_f_stage=t_f_stages,
+                t_b_stage=t_b_stages,
+                msg_time=profile if profile else 0.0,
+                blocking_sends=blocking_sends,
+                link_contention=contention,
+            ).makespan
 
-        chain_time.traces = trace_memo
         return chain_time
 
     full = _chain_time_at(m)
-    result = optimize_placement(
+    return optimize_placement(
         topo,
         g_inter=g_inter,
         g_tensor=g_tensor,
@@ -382,7 +373,3 @@ def place_replicas(
         final_chain_time=full,
         swap_sweeps=swap_sweeps,
     )
-    # hand the full-m verdict traces back so callers pricing the placed
-    # chains (simulate_hetero_pipeline) need not re-run the event engine
-    result.traces = full.traces
-    return result

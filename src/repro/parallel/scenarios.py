@@ -506,7 +506,8 @@ def overlap_exposed_collective(
     stage ``s``'s gradients are final once its *last* backward microbatch
     has passed over them, which happens while downstream work is still
     draining. This function replays that on the event timeline of a
-    finished pipeline schedule:
+    finished pipeline schedule, from each stage's last backward task
+    (:attr:`PipelineTrace.drain <repro.parallel.pipeline.PipelineTrace.drain>`):
 
     * stage ``s``'s payload splits into ``n_buckets`` buckets; the
       backward sweeps the stage's layers in reverse, so bucket ``j``
@@ -555,31 +556,26 @@ def overlap_exposed_collective(
         if any(f < 0 for f in stage_fractions):
             raise ValueError(f"stage_fractions must be non-negative, got {stage_fractions}")
         stage_comm = [comm_time * f * g for f in stage_fractions]
-    last_bwd = []
-    for s in range(g):
-        bwd = [t for t in trace.gpu_tasks(s) if t.kind == "B"]
-        if not bwd:
-            raise ValueError(f"stage {s} executed no backward tasks; not a full trace")
-        last_bwd.append(max(bwd, key=lambda t: t.end))
-    hideable = trace.makespan - min(t.start for t in last_bwd)
+    if len(trace.drain) != g:
+        raise ValueError(f"trace records {len(trace.drain)} drain windows for {g} stages")
+    hideable = trace.makespan - min(b_start for b_start, _b_end in trace.drain)
     if comm_time == 0.0:
         return OverlapReport(0.0, 0.0, 0.0, hideable, trace.makespan, n_buckets, (0.0,) * g)
 
     loop = EventLoop()
     finish = [0.0] * g
     rings: list[SerialResource] = []
-    for s in range(g):
-        last = last_bwd[s]
+    for s, (b_start, b_end) in enumerate(trace.drain):
         ring = SerialResource(f"dp-ring/stage{s}", record=True)
         rings.append(ring)
         if s > 0 and trace.link_times:
             # the stage's final activation-gradient send to stage s-1 books
             # the NIC first: buckets queue behind the drain message
-            ring.acquire(0.0, last.end + trace.link_times[s - 1], "drain")
-        t_last = last.end - last.start
+            ring.acquire(0.0, b_end + trace.link_times[s - 1], "drain")
+        t_last = b_end - b_start
         bucket_cost = stage_comm[s] / n_buckets
         for j in range(n_buckets):
-            ready = last.end - t_last * (n_buckets - 1 - j) / n_buckets
+            ready = b_end - t_last * (n_buckets - 1 - j) / n_buckets
 
             def fire(ring=ring, s=s, j=j, bucket_cost=bucket_cost):
                 _, end = ring.acquire(loop.now, bucket_cost, f"bucket{j}")
@@ -707,7 +703,6 @@ def simulate_hetero_pipeline(
     )
 
     mpd = g_inter * g_tensor
-    placed_traces: dict = {}
     if g_inter > 1:
         topo = _topology(n_gpus or mpd, cal)
         n_replicas = max(topo.n_gpus // mpd, 1)
@@ -732,7 +727,6 @@ def simulate_hetero_pipeline(
                 search_microbatches=max(4 * g_inter, 16),
             )
             replica_ranks = [list(r) for r in placed.placement.replicas]
-            placed_traces = placed.traces or {}
         else:
             replica_ranks = [
                 topo.replica_pipeline_ranks(r, g_inter, g_tensor)
@@ -752,19 +746,17 @@ def simulate_hetero_pipeline(
         link_times = list(profile)
         if scenario is not None:
             link_times = scenario.scale_link_times(link_times)
-        # the placement verdict already simulated these chains at full m
-        # (keyed by the scaled profile); reuse instead of re-running
-        trace = placed_traces.get(tuple(link_times))
-        if trace is None:
-            trace = simulate_pipeline(
-                g_inter,
-                m,
-                t_f_stage=t_f_stages,
-                t_b_stage=t_b_stages,
-                msg_time=link_times if link_times else 0.0,
-                blocking_sends=blocking_sends,
-                link_contention=contention,
-            )
+        # a chain the placement verdict already simulated at full m is a
+        # hit in the schedule memo
+        trace = simulate_pipeline(
+            g_inter,
+            m,
+            t_f_stage=t_f_stages,
+            t_b_stage=t_b_stages,
+            msg_time=link_times if link_times else 0.0,
+            blocking_sends=blocking_sends,
+            link_contention=contention,
+        )
         if slowest is None or trace.makespan > slowest.makespan:
             slowest = trace
             slowest.slowest_replica = replica

@@ -30,7 +30,7 @@ through the store's request-level single flight):
 
 :meth:`PlanningServer.handle` returns each response as wire text from
 :func:`encode_response`; a plan answer is spliced from its cells' JSON
-fragments, each encoded once and kept on the cell.
+fragments, each kept on its cell from the cell's second encode on.
 
 Every request lands in ``serve.requests{method=...}`` and
 ``serve.request_seconds{method=...}`` on the session registry, next to
@@ -66,12 +66,15 @@ INTERNAL_ERROR = -32000
 
 
 def _fragment(ev: Evaluation) -> str:
-    """The cell's canonical JSON, encoded the first time and kept on it
-    (racing threads write the same string, so no lock is needed)."""
+    """The cell's canonical JSON. The first encode only marks the cell as
+    seen (an empty fragment) and the second keeps the text on it, so a
+    cell encoded once keeps nothing (racing threads write equal values,
+    so no lock is needed)."""
     text = ev.fragment
-    if text is None:
-        text = json.dumps(ev.to_dict())
-        object.__setattr__(ev, "fragment", text)
+    if not text:
+        encoded = json.dumps(ev.to_dict())
+        object.__setattr__(ev, "fragment", "" if text is None else encoded)
+        return encoded
     return text
 
 

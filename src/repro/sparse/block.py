@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
 
 from .kernel_models import CUBLAS_FP16, GemmModel, V100_PEAK_FP16
 
@@ -162,8 +161,10 @@ class BlockSparseMatrix:
             out[r : r + bh, c : c + bw] = self.blocks[k]
         return out
 
-    def to_scipy_bsr(self) -> sp.bsr_matrix:
+    def to_scipy_bsr(self) -> "scipy.sparse.bsr_matrix":
         """SciPy BSR view (real block-sparse CPU kernel)."""
+        from scipy import sparse as sp  # deferred: only matrix builders need SciPy
+
         gr, gc = self.grid
         counts = np.bincount(self.brow, minlength=gr)
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)

@@ -8,7 +8,6 @@ communication layer can operate on the same representation.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as sp
 
 from ..core.indexing import validate_flat_indices
 
@@ -83,8 +82,10 @@ class FlatCOO:
         flat[self.ind] = self.values
         return flat.reshape(self.shape)
 
-    def to_csr(self) -> sp.csr_matrix:
+    def to_csr(self) -> "scipy.sparse.csr_matrix":
         """Convert to SciPy CSR for the compute kernels."""
+        from scipy import sparse as sp  # deferred: only matrix builders need SciPy
+
         rows, cols = self.rows_cols()
         return sp.csr_matrix(
             (self.values, (rows, cols)), shape=self.shape

@@ -136,9 +136,16 @@ class TestByteContract:
         server = PlanningServer()
         plan = server.do_plan({"job": JOB})
         assert all(ev.fragment is None for ev in plan.evaluations)
-        server.handle(_rpc("plan", {"job": JOB}))
+        first = server.handle(_rpc("plan", {"job": JOB}))
+        # the first encode only marks each cell and the second keeps its
+        # text: the best cell is written twice per answer, the rest once
+        best = plan.feasible[0]
+        for ev in plan.evaluations:
+            assert ev.fragment == (json.dumps(ev.to_dict()) if ev is best else "")
+        second = server.handle(_rpc("plan", {"job": JOB}))
         for ev in plan.evaluations:
             assert ev.fragment == json.dumps(ev.to_dict())
+        assert _without_stats(first) == _without_stats(second)
         # outside ==, hash and repr
         assert "fragment" not in repr(plan.evaluations[0])
 
