@@ -39,6 +39,7 @@ candidate, so it is the same cell a plan of that workload prices.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,10 +55,11 @@ from ..parallel.scenarios import resolve_fidelity, simulate_hetero_pipeline
 from ..autotune.cache import GLOBAL_CACHE, Claim, EvaluationCache, cache_key_prefix
 from ..autotune.config import FRAMEWORKS, CandidateConfig, candidate_for_workload
 from ..autotune.estimator import AnalyticEstimator, CostEstimator, make_estimator
-from ..autotune.result import PlannerStats, PlanResult
+from ..autotune.result import PlannerStats, PlanResult, RowResult, entry_dict
 from ..autotune.space import CandidateMemo, SearchSpace
 from ..obs import OBS, MetricsRegistry, Tracer, write_chrome_trace
 from ..reporting.tables import format_bytes, render_table
+from ..stochastic.monte_carlo import ExposureMemo, run_mc_robust_plan
 from .job import Job
 from .machine import Machine
 from .scenario_set import ScenarioSet, get_scenario_set
@@ -85,6 +87,14 @@ class RobustEvaluation:
     feasible: bool
     batch_size: int
 
+    #: every field and how it is written, in to_dict() order (the planning
+    #: server writes robust answers by it too)
+    LAYOUT = (
+        ("config", "config"), ("expected_time", "float"), ("worst_time", "float"),
+        ("worst_scenario", "label"), ("per_scenario", "by_label"),
+        ("memory_bytes", "int"), ("feasible", "bool"), ("batch_size", "int"),
+    )
+
     @property
     def expected_throughput(self) -> float:
         return self.batch_size / self.expected_time
@@ -104,61 +114,81 @@ class RobustEvaluation:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "expected_time": self.expected_time,
-            "worst_time": self.worst_time,
-            "worst_scenario": self.worst_scenario,
-            "per_scenario": dict(self.per_scenario),
-            "memory_bytes": self.memory_bytes,
-            "feasible": self.feasible,
-            "batch_size": self.batch_size,
-        }
+        return entry_dict(self)
 
 
-@dataclass
-class RobustPlanResult:
-    """Outcome of one robust search over a scenario distribution."""
+@dataclass(eq=False)
+class RobustPlanResult(RowResult):
+    """Outcome of one robust search over a scenario distribution, kept as
+    arrays over the priced (candidates × scenarios) matrix."""
 
     model: str
     n_gpus: int
     fidelity: str
     budget_bytes: int
     scenario_set: ScenarioSet
-    entries: list = field(default_factory=list)
+    #: row r of every array below is candidate r, read from its cell in
+    #: the first scenario column (config, memory and global batch size)
+    configs: tuple
+    memory: tuple
+    batch: tuple
+    #: (candidates × scenarios) batch times, columns in label order
+    times: np.ndarray
+    #: probability-weighted time over the set
+    expected: np.ndarray
+    #: column index of each row's slowest scenario
+    worst: np.ndarray
+    #: whether the candidate fits in memory under every scenario
+    fits: np.ndarray
     #: scenario label -> the per-scenario :class:`PlanResult`
     per_scenario: dict = field(default_factory=dict)
     #: accounting aggregated over the per-scenario searches (scenarios,
     #: candidates, evaluated, cache_hits, wall_seconds)
     stats: dict = field(default_factory=dict)
 
+    ENTRY = RobustEvaluation
+    KEY = "expected"
+
     @property
-    def feasible(self) -> list:
-        """Feasible candidates, best expected time first."""
-        return sorted(
-            (e for e in self.entries if e.feasible),
-            key=lambda e: e.expected_time,
-        )
+    def labels(self) -> tuple:
+        return self.scenario_set.labels()
+
+    def columns(self, rows, skip=()) -> dict:
+        rows = list(rows)
+        times, worst = self.times[rows], self.worst[rows]
+        labels = self.labels
+        return {
+            "config": [self.configs[r] for r in rows],
+            "expected_time": self.expected[rows].tolist(),
+            "worst_time": times[np.arange(len(rows)), worst].tolist(),
+            "worst_scenario": [labels[j] for j in worst.tolist()],
+            "per_scenario": times.tolist(),
+            "memory_bytes": [self.memory[r] for r in rows],
+            "feasible": self.fits[rows].tolist(),
+            "batch_size": [self.batch[r] for r in rows],
+        }
+
+    def _numbers(self) -> tuple:
+        return (self.times, self.expected)
 
     @property
     def best(self) -> RobustEvaluation:
         """Best expected-cost feasible configuration."""
-        ranked = self.feasible
+        ranked = self.ranking
         if not ranked:
             raise RuntimeError(
                 f"{self.model} on {self.n_gpus} GPUs: no feasible configuration "
                 f"within {format_bytes(self.budget_bytes)} per GPU"
             )
-        return ranked[0]
+        return self.entries[ranked[0]]
 
     def best_worst_case(self) -> RobustEvaluation:
         """The minimax pick: smallest worst-case time over the set."""
-        ranked = sorted(
-            (e for e in self.entries if e.feasible), key=lambda e: e.worst_time
-        )
+        worst = self.times[np.arange(len(self.configs)), self.worst]
+        ranked = self._ranked(worst)
         if not ranked:
             raise RuntimeError("no feasible configuration")
-        return ranked[0]
+        return self.entries[ranked[0]]
 
     # ------------------------------------------------------------------
     def summary_table(self, top: int = 8) -> str:
@@ -202,17 +232,16 @@ class RobustPlanResult:
             )
         return "\n\n".join(parts)
 
-    def to_dict(self) -> dict:
-        """JSON-ready mapping of the full robust ranking."""
-        feasible = self.feasible
+    def layout(self, rows, drop=()) -> dict:
+        best = self.ranking[:1]
         return {
             "model": self.model,
             "n_gpus": self.n_gpus,
             "fidelity": self.fidelity,
             "budget_bytes": self.budget_bytes,
             "scenario_set": self.scenario_set.to_dict(),
-            "best": feasible[0].to_dict() if feasible else None,
-            "entries": [e.to_dict() for e in self.entries],
+            "best": rows(best)[0] if best else None,
+            "entries": rows(range(len(self.configs)), drop),
             "stats": dict(self.stats),
         }
 
@@ -256,6 +285,9 @@ class Session:
         self._obs_active = 0
         self._obs_prev: tuple | None = None
         self._spaces = CandidateMemo()
+        #: registered model name -> its resolved spec
+        self._specs: dict[str, ModelSpec] = {}
+        self._exposures = ExposureMemo()
 
     # -- observability ------------------------------------------------------
     def metrics(self) -> dict:
@@ -302,8 +334,19 @@ class Session:
     # -- shared plumbing ----------------------------------------------------
     def _resolve_spec(self, job: Job, spec: ModelSpec | None) -> ModelSpec:
         """The job's registered model, or an explicit spec override
-        (the escape hatch for unregistered specs)."""
-        return spec if spec is not None else get_spec(job.model)
+        (the escape hatch for unregistered specs).
+
+        Each registered model is resolved once per session and shared by
+        every later question, so a resolved spec is read-only. The memo
+        holds at most one spec per registry name: an unknown name raises
+        before anything is kept.
+        """
+        if spec is not None:
+            return spec
+        resolved = self._specs.get(job.model)
+        if resolved is None:
+            resolved = self._specs.setdefault(job.model, get_spec(job.model))
+        return resolved
 
     # -- single-config questions -------------------------------------------
     def breakdown(
@@ -342,7 +385,7 @@ class Session:
             config = self._candidate(job, spec)
             claim = self._claim(
                 spec, [config], estimator, [getattr(estimator, "scenario", None)],
-                job.partition_mode,
+                job.partition_mode, (config.canonical_hash(),),
             )
             return claim.values[0].breakdown
 
@@ -539,41 +582,18 @@ class Session:
 
         labels = list(sset.labels())
         with self._op("robust_plan"):
-            per_scenario = self._price_columns(
+            per_scenario, times, fits = self._price_columns(
                 job, spec, labels, list(sset.scenarios),
                 frameworks=frameworks,
                 microbatch_sizes=microbatch_sizes,
                 explore_no_checkpoint=explore_no_checkpoint,
             )
-
-        # every column lists the same candidates in the same order, so
-        # row r of the (config, scenario) time matrix is candidate r
-        rows = list(zip(*(res.evaluations for res in per_scenario.values())))
-        times = np.array([[ev.total_time for ev in row] for row in rows])
+        first = per_scenario[labels[0]].evaluations
         if len(labels) == 1:
             # exact degeneration: no float round-trip through the dot
-            expected_arr = times[:, 0]
+            expected = times[:, 0]
         else:
-            expected_arr = times @ np.asarray(sset.weights)
-        # argmax picks the first maximum, like max() over labels in order
-        worst_idx = np.argmax(times, axis=1)
-        entries = []
-        for r, row in enumerate(rows):
-            entries.append(
-                RobustEvaluation(
-                    config=row[0].config,
-                    expected_time=float(expected_arr[r]),
-                    worst_time=float(times[r, worst_idx[r]]),
-                    worst_scenario=labels[int(worst_idx[r])],
-                    per_scenario={
-                        label: float(times[r, j])
-                        for j, label in enumerate(labels)
-                    },
-                    memory_bytes=row[0].memory_bytes,
-                    feasible=all(ev.feasible for ev in row),
-                    batch_size=row[0].batch_size,
-                )
-            )
+            expected = times @ np.asarray(sset.weights)
         return RobustPlanResult(
             model=spec.name,
             n_gpus=job.n_gpus,
@@ -582,7 +602,14 @@ class Session:
             fidelity=fidelity,
             budget_bytes=self.machine.gpu_memory_bytes,
             scenario_set=sset,
-            entries=entries,
+            configs=tuple(ev.config for ev in first),
+            memory=tuple(ev.memory_bytes for ev in first),
+            batch=tuple(ev.batch_size for ev in first),
+            times=times,
+            expected=expected,
+            # argmax picks the first maximum, like max() over labels in order
+            worst=np.argmax(times, axis=1),
+            fits=fits,
             per_scenario=per_scenario,
             stats={
                 "scenarios": len(labels),
@@ -605,9 +632,8 @@ class Session:
         frameworks: tuple,
         microbatch_sizes: tuple,
         explore_no_checkpoint: bool,
-    ) -> dict[str, PlanResult]:
-        """One :class:`PlanResult` per scenario column, every column
-        listing the same candidates in the same order.
+    ) -> tuple:
+        """Price every candidate under every scenario column.
 
         ``labels``/``columns`` name the scenario columns (a
         :class:`ScenarioSet`'s members for :meth:`robust_plan`, a
@@ -617,6 +643,11 @@ class Session:
         (:meth:`_search`); any other fidelity runs one :meth:`plan` per
         column, each a one-column matrix. A neutral-only column list
         degenerates to :meth:`plan` bit-identically either way.
+
+        Returns one :class:`PlanResult` per label, every column listing
+        the same candidates in the same order; and the (candidates ×
+        columns) time matrix and each candidate's feasibility under every
+        column, read in one pass over the cells.
         """
         axes = {
             "frameworks": frameworks,
@@ -634,15 +665,28 @@ class Session:
             # canonical message from the per-column plan() below
             probe = None
         if probe is None or not getattr(probe, "supports_batch", False):
-            return {
+            per_label = {
                 label: self.plan(job, scenario=column, spec=spec, **axes)
                 for label, column in zip(labels, columns)
             }
-        results = self._search(
-            spec, self._space(job, spec, **axes), probe, columns,
-            job.n_gpus, job.partition_mode,
-        )
-        return dict(zip(labels, results))
+        else:
+            results = self._search(
+                spec, self._space(job, spec, **axes), probe, columns,
+                job.n_gpus, job.partition_mode,
+            )
+            per_label = dict(zip(labels, results))
+        cols = [res.evaluations for res in per_label.values()]
+        n = len(cols[0])
+        cells = np.fromiter(
+            itertools.chain.from_iterable(
+                (ev.breakdown.total, ev.feasible) for col in cols for ev in col
+            ),
+            float, count=2 * n * len(cols),
+        ).reshape(len(cols), n, 2)
+        # C order, as the row-major matrix the weights are dotted with
+        times = np.ascontiguousarray(cells[:, :, 0].T)
+        fits = cells[:, :, 1].all(axis=0)
+        return per_label, times, fits
 
     # -- stochastic questions -----------------------------------------------
     def mc_robust_plan(
@@ -667,6 +711,8 @@ class Session:
         ``crn=False`` — and ranks by mean cost with 95% confidence
         intervals; statistically tied leaders are flagged. A process
         that can never fire degenerates to :meth:`plan` bit-identically.
+        The draws' exposure rows are kept per session by (process, seed),
+        so asking again with no more samples draws nothing.
 
         >>> from repro.api import Job, Machine, Session
         >>> res = Session(Machine.summit()).mc_robust_plan(
@@ -676,8 +722,6 @@ class Session:
         >>> res.fidelity
         'analytic'
         """
-        from ..stochastic.monte_carlo import run_mc_robust_plan
-
         spec = self._resolve_spec(job, spec)
         with self._op("mc_robust_plan"):
             return run_mc_robust_plan(
@@ -769,8 +813,10 @@ class Session:
         """
         t0 = time.perf_counter()
         fidelity = estimator.fidelity
-        candidates = self._spaces.candidates(space)
-        claim = self._claim(spec, candidates, estimator, columns, partition_mode)
+        candidates, hashes = self._spaces.lookup(space)
+        claim = self._claim(
+            spec, candidates, estimator, columns, partition_mode, hashes
+        )
         values = claim.values
         metrics = OBS.metrics
         n_cells = len(values)
@@ -810,6 +856,7 @@ class Session:
         estimator: CostEstimator,
         columns: list,
         partition_mode: str,
+        hashes: tuple,
     ) -> Claim:
         """Claim, price, publish the candidates × columns cells.
 
@@ -817,7 +864,8 @@ class Session:
         (:meth:`EvaluationCache.acquire`): hits come back as stored,
         cells another request is pricing are waited on, and the cells
         this request owns are priced (:meth:`_price`) and published with
-        :meth:`EvaluationCache.fulfil`. Returns the claim, its
+        :meth:`EvaluationCache.fulfil`. ``hashes`` are the candidates'
+        ``canonical_hash`` values, in order. Returns the claim, its
         ``values`` filled row-major.
         """
         claim = self.cache.acquire(
@@ -827,7 +875,7 @@ class Session:
                 )
                 for column in columns
             ],
-            [config.canonical_hash() for config in candidates],
+            hashes,
         )
         if claim.waiting:
             OBS.metrics.counter("serve.inflight_coalesced").inc(claim.waiting)

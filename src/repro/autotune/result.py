@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..reporting.tables import format_bytes, render_table
 from .estimator import Evaluation
 
-__all__ = ["PlannerStats", "PlanResult"]
+__all__ = ["PlannerStats", "PlanResult", "RowResult", "entry_dict"]
 
 
 @dataclass
@@ -237,3 +239,126 @@ class PlanResult:
                 f"{s['wall_seconds']:.3f}s"
             )
         return "\n\n".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# rankings kept as arrays (robust and Monte-Carlo plans)
+# ---------------------------------------------------------------------------
+
+def entry_dict(entry) -> dict:
+    """An entry's ``to_dict()``: its fields in ``LAYOUT`` order, JSON-ready.
+
+    ``LAYOUT`` pairs each field of the entry dataclass with its kind:
+    ``config`` (a :class:`CandidateConfig`), ``float``, ``int``, ``bool``,
+    ``label`` (a string), ``by_label`` (label -> float) or ``floats`` (a
+    float sequence). The planning server writes the same fields, in the
+    same order, straight from a :class:`RowResult`'s columns.
+    """
+    doc = {}
+    for name, kind in entry.LAYOUT:
+        value = getattr(entry, name)
+        if kind == "config":
+            value = value.to_dict()
+        elif kind == "by_label":
+            value = dict(value)
+        elif kind == "floats":
+            value = list(value)
+        doc[name] = value
+    return doc
+
+
+class RowResult:
+    """A ranking kept as arrays over the candidates a question priced.
+
+    Row ``r`` of every array of a subclass is candidate ``configs[r]``;
+    ``fits[r]`` says whether it fits in memory under every column.
+    Subclasses name their entry dataclass (``ENTRY``) and the array that
+    ranks the rows (``KEY``), and give :meth:`columns` and :meth:`layout`.
+
+    Entry objects are built from the columns the first time
+    :attr:`entries` is read; the planning server writes its answers from
+    the columns and never builds them. :attr:`ranking` is Python's stable
+    sort of the feasible rows on their key, so ties keep candidate order
+    and every key (NaN too) orders exactly as sorting the entries did.
+    """
+
+    ENTRY: type
+    KEY: str
+    labels: tuple
+
+    def columns(self, rows, skip=()) -> dict:
+        """Entry field name -> one plain Python value per row of ``rows``
+        (``by_label`` and ``floats`` fields as lists); fields named in
+        ``skip`` may be left out."""
+        raise NotImplementedError
+
+    def layout(self, rows, drop=()) -> dict:
+        """:meth:`to_dict`'s fields, with the best entry and every entry
+        written by ``rows(indices, drop)``; every entry but the best leaves
+        out the fields named in ``drop``."""
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        """JSON-ready mapping of the full ranking."""
+        return self.layout(self.entry_dicts)
+
+    def entry_dicts(self, rows, drop=()) -> list:
+        """The entries at ``rows`` as ``to_dict()`` writes them, less ``drop``."""
+        entries, out = self.entries, []
+        for r in rows:
+            doc = entries[r].to_dict()
+            for name in drop:
+                del doc[name]
+            out.append(doc)
+        return out
+
+    @property
+    def entries(self) -> list:
+        """One entry object per candidate, in candidate order."""
+        entries = self.__dict__.get("_entries")
+        if entries is None:
+            cols = self.columns(range(len(self.configs)))
+            values = []
+            for name, kind in self.ENTRY.LAYOUT:
+                col = cols[name]
+                if kind == "by_label":
+                    col = [dict(zip(self.labels, row)) for row in col]
+                elif kind == "floats":
+                    col = [tuple(row) for row in col]
+                values.append(col)
+            # racing first reads keep whichever list landed first
+            entries = self.__dict__.setdefault(
+                "_entries", [self.ENTRY(*row) for row in zip(*values)]
+            )
+        return entries
+
+    @property
+    def ranking(self) -> list:
+        """Feasible rows, best key first."""
+        ranking = self.__dict__.get("_ranking")
+        if ranking is None:
+            ranking = self.__dict__["_ranking"] = self._ranked(getattr(self, self.KEY))
+        return ranking
+
+    def _ranked(self, keys: np.ndarray) -> list:
+        keys = keys.tolist()
+        return sorted(np.flatnonzero(self.fits).tolist(), key=keys.__getitem__)
+
+    @property
+    def feasible(self) -> list:
+        """Feasible candidates, best key first."""
+        entries = self.entries
+        return [entries[r] for r in self.ranking]
+
+    def plain(self) -> bool:
+        """True when ``json.dumps`` writes every number an answer carries
+        as its ``repr`` and every label as a JSON string: the numbers are
+        all finite and the labels all strings (a scenario's name is
+        whatever its request sent)."""
+        return all(isinstance(label, str) for label in self.labels) and all(
+            np.isfinite(a).all() for a in self._numbers()
+        )
+
+    def _numbers(self) -> tuple:
+        """The float arrays an answer's numbers come from."""
+        raise NotImplementedError

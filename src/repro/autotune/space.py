@@ -236,11 +236,13 @@ class CandidateMemo:
     """Bounded LRU of enumerated search spaces.
 
     A planning server asks about the same few spaces over and over; each
-    hit returns the configs enumerated the first time, whose
-    ``canonical_hash`` is already memoised, instead of re-walking the
-    grid. The key is every :class:`SearchSpace` input, with the model
-    identified as in evaluation cache keys (:func:`spec_signature`,
-    plus the family and sequence length the enumeration also reads).
+    hit returns the configs enumerated the first time and their
+    ``canonical_hash`` list, kept in the same entry (so the list lives
+    and dies with its configs), instead of re-walking the grid and
+    rebuilding the list. The key is every :class:`SearchSpace` input,
+    with the model identified as in evaluation cache keys
+    (:func:`spec_signature`, plus the family and sequence length the
+    enumeration also reads).
     """
 
     #: spaces kept; a server's working set of distinct spaces is small,
@@ -251,9 +253,10 @@ class CandidateMemo:
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def candidates(self, space: SearchSpace) -> tuple[CandidateConfig, ...]:
-        """``space``'s candidates; ``space.stats`` grows by the
-        enumeration's counts on a hit too, as if it had re-enumerated."""
+    def lookup(self, space: SearchSpace) -> tuple[tuple, tuple]:
+        """``space``'s candidates and their ``canonical_hash`` values, in
+        the same order; ``space.stats`` grows by the enumeration's counts
+        on a hit too, as if it had re-enumerated."""
         spec = space.spec
         key = (
             spec_signature(spec), spec.family, spec.seq_len, space.n_gpus,
@@ -271,11 +274,11 @@ class CandidateMemo:
                 configs = tuple(space.candidates())
             finally:
                 counts, space.stats = space.stats, total
-            entry = (configs, counts)
+            entry = (configs, tuple(c.canonical_hash() for c in configs), counts)
             with self._lock:
                 self._entries[key] = entry
                 if len(self._entries) > self.SIZE:
                     self._entries.popitem(last=False)
-        configs, counts = entry
+        configs, hashes, counts = entry
         space.stats.add(counts)
-        return configs
+        return configs, hashes

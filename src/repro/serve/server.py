@@ -30,7 +30,10 @@ through the store's request-level single flight):
 
 :meth:`PlanningServer.handle` returns each response as wire text from
 :func:`encode_response`; a plan answer is spliced from its cells' JSON
-fragments, each kept on its cell from the cell's second encode on.
+fragments, each kept on its cell from the cell's second encode on, and
+robust and Monte-Carlo answers are written row by row from their
+results' arrays. Every answer is byte for byte ``json.dumps`` of the
+result's ``to_dict()``, less the fields the wire leaves out.
 
 Every request lands in ``serve.requests{method=...}`` and
 ``serve.request_seconds{method=...}`` on the session registry, next to
@@ -42,16 +45,18 @@ coalesced onto another request's in-flight evaluation count in
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii as _string
 
-from ..api import Job, Machine, ScenarioSet, Session
+from ..api import Job, Machine, RobustPlanResult, ScenarioSet, Session
 from ..autotune.estimator import Evaluation
-from ..autotune.result import PlanResult
+from ..autotune.result import PlanResult, RowResult
 from ..parallel.scenarios import ClusterScenario
-from ..stochastic import ScenarioProcess
+from ..stochastic import MCRobustResult, ScenarioProcess
 from .store import PersistentEvaluationStore
 
 __all__ = ["PlanningServer", "encode_response", "decode_response", "serve_stdio", "serve_http"]
@@ -78,18 +83,90 @@ def _fragment(ev: Evaluation) -> str:
     return text
 
 
+_BOOL = {True: "true", False: "false"}
+
+#: CandidateConfig.to_dict() as json.dumps writes it
+_CONFIG = (
+    '{"framework": %s, "g_tensor": %s, "g_inter": %s, "g_data": %s, "mbs": %s, '
+    '"checkpoint_activations": %s, "mode": %s, "sparsity": %s}'
+)
+
+
+def _config(c) -> str:
+    # the mode is a str enum: its string is its value; the micro-batch
+    # size is whatever number the request sent, a bool too
+    mbs = c.mbs
+    return _CONFIG % (
+        _string(c.framework), c.g_tensor, c.g_inter, c.g_data,
+        mbs if mbs.__class__ is int else json.dumps(mbs),
+        _BOOL[c.checkpoint_activations], _string(c.mode), c.sparsity,
+    )
+
+
+#: entry field kind (see ``entry_dict``) -> its column as template values.
+#: ``%s`` writes a Python int or finite float (or a list of them) as
+#: json.dumps does, ``repr``, so numbers pass as they are; bools, strings
+#: and configs are written here
+_SLOTS = {
+    "config": lambda col: [_config(c) for c in col],
+    "bool": lambda col: [_BOOL[v] for v in col],
+    "label": lambda col: [_string(v) for v in col],
+}
+
+
+class _Raw(str):
+    """Text spliced into an answer as is."""
+
+
+def _entries(result: RowResult, rows, drop=()) -> list:
+    """The entries at ``rows``, each the text of ``json.dumps(entry.to_dict())``
+    less the ``drop`` fields, written from ``result``'s columns through one
+    row template (its fields in the entry's ``LAYOUT`` order)."""
+    columns = result.columns(rows, skip=drop)
+    fields, values = [], []
+    for name, kind in result.ENTRY.LAYOUT:
+        if name in drop:
+            continue
+        column = columns[name]
+        if kind == "by_label":
+            # one template slot and one column per label
+            keys = ", ".join(_string(label).replace("%", "%%") + ": %s" for label in result.labels)
+            fields.append(_string(name) + ": {" + keys + "}")
+            values.extend(zip(*column))
+        else:
+            fields.append(_string(name) + ": %s")
+            values.append(_SLOTS[kind](column) if kind in _SLOTS else column)
+    template = "{" + ", ".join(fields) + "}"
+    return [_Raw(template % row) for row in zip(*values)]
+
+
 def _splice(doc: dict) -> str:
     """``json.dumps(doc)`` with each plan laid out by :meth:`PlanResult.layout`
-    and its evaluations written as fragments. Each run of other fields is
-    one ``json.dumps``, which also writes the next spliced field's key."""
+    and its evaluations written as fragments, and each robust or
+    Monte-Carlo result laid out by its ``layout`` with its entries written
+    by :func:`_entries`. Each run of other fields is one ``json.dumps``,
+    which also writes the next spliced field's key."""
     parts, run = [], {}
     for key, value in doc.items():
         if isinstance(value, PlanResult):
             text = _splice(value.layout(lambda ev: ev))
+        elif isinstance(value, RowResult):
+            # per-sample costs derive from the seed and are heavy: the wire
+            # keeps the best entry's only (a robust answer's layout already
+            # leaves out its per-label plans)
+            drop = ("sample_costs",) if isinstance(value, MCRobustResult) else ()
+            if value.plain():
+                text = _splice(value.layout(functools.partial(_entries, value), drop))
+            else:  # json.dumps spells NaN, Infinity and non-str labels
+                text = json.dumps(value.layout(value.entry_dicts, drop))
         elif isinstance(value, Evaluation):
             text = _fragment(value)
+        elif isinstance(value, _Raw):
+            text = value
         elif value.__class__ is list and value and isinstance(value[0], Evaluation):
             text = "[" + ", ".join([_fragment(ev) for ev in value]) + "]"
+        elif value.__class__ is list and value and isinstance(value[0], _Raw):
+            text = "[" + ", ".join(value) + "]"
         else:
             run[key] = value
             continue
@@ -103,13 +180,14 @@ def _splice(doc: dict) -> str:
 
 def encode_response(response) -> str:
     """The wire text of a response or a batch array of them: byte for byte
-    ``json.dumps`` of it with results built by ``to_dict()``. Text that
-    :meth:`PlanningServer.handle` rendered passes through as is."""
+    ``json.dumps`` of it with results built by ``to_dict()`` (less the
+    fields the wire leaves out). Text that :meth:`PlanningServer.handle`
+    rendered passes through as is."""
     if isinstance(response, str):
         return response
     if isinstance(response, list):
         return "[" + ", ".join([encode_response(r) for r in response]) + "]"
-    if isinstance(response.get("result"), PlanResult):
+    if isinstance(response.get("result"), (PlanResult, RowResult)):
         return _splice(response)
     return json.dumps(response)
 
@@ -186,28 +264,23 @@ class PlanningServer:
             **_search_kwargs(params),
         )
 
-    def do_robust_plan(self, params: dict) -> dict:
+    def do_robust_plan(self, params: dict) -> RobustPlanResult:
         scenarios = params.get("scenarios")
         if scenarios is None:
             raise ValueError("missing required param 'scenarios'")
         if isinstance(scenarios, dict):
             scenarios = ScenarioSet.from_dict(scenarios)
-        result = self.session.robust_plan(
+        return self.session.robust_plan(  # encode_response writes its rows
             self._job(params), scenarios, **_search_kwargs(params)
         )
-        doc = result.to_dict()
-        # per-label PlanResults are derivable and heavy; the wire carries
-        # the aggregated ranking only
-        doc.pop("per_scenario", None)
-        return doc
 
-    def do_mc_robust_plan(self, params: dict) -> dict:
+    def do_mc_robust_plan(self, params: dict) -> MCRobustResult:
         process = params.get("process")
         if process is None:
             raise ValueError("missing required param 'process'")
         if isinstance(process, dict):
             process = ScenarioProcess.from_dict(process)
-        result = self.session.mc_robust_plan(
+        return self.session.mc_robust_plan(  # encode_response writes its rows
             self._job(params),
             process,
             samples=int(params.get("samples", 32)),
@@ -215,12 +288,6 @@ class PlanningServer:
             crn=bool(params.get("crn", True)),
             **_search_kwargs(params),
         )
-        doc = result.to_dict()
-        # per-candidate sample vectors are derivable from the seed and
-        # heavy on the wire; keep them for the best entry only
-        for entry in doc["entries"]:
-            entry.pop("sample_costs", None)
-        return doc
 
     def do_replan(self, params: dict) -> dict:
         failure = params.get("failure")
@@ -302,7 +369,11 @@ class PlanningServer:
             self.registry.histogram(
                 "serve.request_seconds", {"method": method}
             ).observe(time.perf_counter() - t0)
-        return encode_response({"jsonrpc": PROTOCOL, "id": rid, "result": result})
+        try:
+            return encode_response({"jsonrpc": PROTOCOL, "id": rid, "result": result})
+        except Exception as err:  # noqa: BLE001 — an answer not written is still answered
+            self.registry.counter("serve.errors", {"method": method}).inc()
+            return self._error(rid, INTERNAL_ERROR, f"{type(err).__name__}: {err}")
 
     @staticmethod
     def _error(rid, code: int, message: str) -> str:

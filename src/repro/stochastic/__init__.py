@@ -28,7 +28,7 @@ Three layers on top of the :mod:`repro.api` facade::
   break-even analysis behind :meth:`Session.replan`.
 """
 
-from .monte_carlo import MCCandidate, MCRobustResult, run_mc_robust_plan
+from .monte_carlo import ExposureMemo, MCCandidate, MCRobustResult, run_mc_robust_plan
 from .process import (
     PROCESSES,
     DegradationKind,
@@ -50,6 +50,7 @@ __all__ = [
     "get_process",
     "MCCandidate",
     "MCRobustResult",
+    "ExposureMemo",
     "run_mc_robust_plan",
     "RepairOption",
     "ReplanDecision",

@@ -35,15 +35,18 @@ is taken as the column itself — no float round-trip through averaging.
 from __future__ import annotations
 
 import math
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..autotune.result import RowResult, entry_dict
 from ..obs import OBS
 from .process import ScenarioProcess, get_process
 
-__all__ = ["MCCandidate", "MCRobustResult", "run_mc_robust_plan"]
+__all__ = ["MCCandidate", "MCRobustResult", "ExposureMemo", "run_mc_robust_plan"]
 
 #: normal 97.5% quantile — the half-width multiplier of a 95% interval
 Z95 = 1.96
@@ -75,6 +78,15 @@ class MCCandidate:
     feasible: bool
     batch_size: int
 
+    #: every field and how it is written, in to_dict() order (the planning
+    #: server writes Monte-Carlo answers by it too)
+    LAYOUT = (
+        ("config", "config"), ("mean_time", "float"), ("std_time", "float"),
+        ("ci95", "float"), ("worst_time", "float"), ("worst_sample", "int"),
+        ("per_scenario", "by_label"), ("sample_costs", "floats"),
+        ("memory_bytes", "int"), ("feasible", "bool"), ("batch_size", "int"),
+    )
+
     @property
     def expected_throughput(self) -> float:
         return self.batch_size / self.mean_time
@@ -94,24 +106,14 @@ class MCCandidate:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "mean_time": self.mean_time,
-            "std_time": self.std_time,
-            "ci95": self.ci95,
-            "worst_time": self.worst_time,
-            "worst_sample": self.worst_sample,
-            "per_scenario": dict(self.per_scenario),
-            "sample_costs": list(self.sample_costs),
-            "memory_bytes": self.memory_bytes,
-            "feasible": self.feasible,
-            "batch_size": self.batch_size,
-        }
+        return entry_dict(self)
 
 
-@dataclass
-class MCRobustResult:
-    """Outcome of one Monte-Carlo robust search."""
+@dataclass(eq=False)
+class MCRobustResult(RowResult):
+    """Outcome of one Monte-Carlo robust search, kept as arrays over the
+    priced (candidates × scenarios) matrix and its (candidates × samples)
+    cost matrix."""
 
     model: str
     n_gpus: int
@@ -121,28 +123,63 @@ class MCRobustResult:
     samples: int
     seed: int
     crn: bool
-    labels: tuple = ()
-    entries: list = field(default_factory=list)
+    #: the scenario columns' labels, neutral first
+    labels: tuple
+    #: row r of every array below is candidate r, read from its cell in
+    #: the neutral column (config, memory and global batch size)
+    configs: tuple
+    memory: tuple
+    batch: tuple
+    #: (candidates × scenarios) batch times, columns in label order
+    times: np.ndarray
+    #: (candidates × samples) per-sample costs, in draw order
+    costs: np.ndarray
+    #: per-candidate mean, sample std (ddof=1) and 95% half-width
+    mean: np.ndarray
+    std: np.ndarray
+    ci95: np.ndarray
+    #: index of each row's slowest sample
+    worst: np.ndarray
+    #: whether the candidate fits in memory under every scenario
+    fits: np.ndarray
     #: accounting (scenarios, candidates, evaluated, cache_hits, samples,
     #: wall_seconds); wall time stays out of to_dict so same-seed runs
     #: serialize byte-identically
     stats: dict = field(default_factory=dict)
 
-    @property
-    def feasible(self) -> list:
-        """Feasible candidates, best mean cost first."""
-        return sorted(
-            (e for e in self.entries if e.feasible), key=lambda e: e.mean_time
-        )
+    ENTRY = MCCandidate
+    KEY = "mean"
+
+    def columns(self, rows, skip=()) -> dict:
+        rows = list(rows)
+        costs, worst = self.costs[rows], self.worst[rows]
+        cols = {
+            "config": [self.configs[r] for r in rows],
+            "mean_time": self.mean[rows].tolist(),
+            "std_time": self.std[rows].tolist(),
+            "ci95": self.ci95[rows].tolist(),
+            "worst_time": costs[np.arange(len(rows)), worst].tolist(),
+            "worst_sample": worst.tolist(),
+            "per_scenario": self.times[rows].tolist(),
+            "memory_bytes": [self.memory[r] for r in rows],
+            "feasible": self.fits[rows].tolist(),
+            "batch_size": [self.batch[r] for r in rows],
+        }
+        if "sample_costs" not in skip:
+            cols["sample_costs"] = costs.tolist()
+        return cols
+
+    def _numbers(self) -> tuple:
+        return (self.times, self.costs, self.mean, self.std, self.ci95)
 
     @property
     def best(self) -> MCCandidate:
-        ranked = self.feasible
+        ranked = self.ranking
         if not ranked:
             raise RuntimeError(
                 f"{self.model} on {self.n_gpus} GPUs: no feasible configuration"
             )
-        return ranked[0]
+        return self.entries[ranked[0]]
 
     def leaders(self) -> list:
         """The winner plus every candidate statistically tied with it.
@@ -152,18 +189,20 @@ class MCRobustResult:
         CRN the pairing shares the sampled timelines, which is what
         makes this test sharp.
         """
-        return self._leaders(self.feasible)
+        entries = self.entries
+        return [entries[r] for r in self.leader_rows()]
 
-    @staticmethod
-    def _leaders(ranked: list) -> list:
-        """:meth:`leaders` over an already ranked feasible list: one
-        (runner-ups × samples) difference matrix, reduced row-wise."""
+    def leader_rows(self) -> list:
+        """:meth:`leaders` as rows: one (runner-ups × samples) difference
+        matrix over the ranked feasible rows, reduced row-wise."""
+        ranked = self.ranking
         if not ranked:
             return []
-        costs = np.array([e.sample_costs for e in ranked])
+        costs = self.costs[ranked]
         d, n = costs[1:] - costs[0], costs.shape[1]
         half = Z95 * d.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(d))
-        return [ranked[0]] + [e for e, tied in zip(ranked[1:], d.mean(axis=1) <= half) if tied]
+        tied = (d.mean(axis=1) <= half).tolist()
+        return [ranked[0]] + [r for r, t in zip(ranked[1:], tied) if t]
 
     # ------------------------------------------------------------------
     def summary_table(self, top: int = 8) -> str:
@@ -214,10 +253,10 @@ class MCRobustResult:
         parts.append(self.summary_table(top=top))
         return "\n\n".join(parts)
 
-    def to_dict(self) -> dict:
-        """JSON-ready mapping; byte-identical across same-seed runs."""
-        feasible = self.feasible
-        stats = {k: v for k, v in self.stats.items() if k != "wall_seconds"}
+    def layout(self, rows, drop=()) -> dict:
+        """:meth:`to_dict`'s fields (byte-identical across same-seed
+        runs), the entries written by ``rows`` as in :class:`RowResult`."""
+        best = self.ranking[:1]
         return {
             "model": self.model,
             "n_gpus": self.n_gpus,
@@ -228,10 +267,10 @@ class MCRobustResult:
             "seed": self.seed,
             "crn": self.crn,
             "labels": list(self.labels),
-            "best": feasible[0].to_dict() if feasible else None,
-            "leaders": [e.config.to_dict() for e in self._leaders(feasible)],
-            "entries": [e.to_dict() for e in self.entries],
-            "stats": stats,
+            "best": rows(best)[0] if best else None,
+            "leaders": [self.configs[r].to_dict() for r in self.leader_rows()],
+            "entries": rows(range(len(self.configs)), drop),
+            "stats": {k: v for k, v in self.stats.items() if k != "wall_seconds"},
         }
 
 
@@ -272,6 +311,61 @@ def _exposure_matrix(
     return W
 
 
+class ExposureMemo:
+    """Bounded LRU of sampled exposure rows, keyed by (process, seed).
+
+    Sample ``i`` of :meth:`ScenarioProcess.sample_timelines` is the same
+    for every ``n`` (the SeedSequence prefix property of
+    :func:`repro.rng.spawn_generators`), so the first ``n`` rows of a
+    larger draw *are* the rows of ``n`` samples: a request for no more
+    samples than an entry holds reads its prefix, and only a larger one
+    draws again (through ``sample_timelines``, replacing the entry). An
+    entry keeps each sample's exposure row (columns as
+    :func:`_columns_for` labels them, a function of the process) and
+    each timeline's event count, nothing else.
+    """
+
+    #: bytes of rows and counts a full memo keeps at most; a draw larger
+    #: than this is served but not kept
+    MAX_BYTES = 2 << 20
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _size(entry: tuple) -> int:
+        rows, events = entry
+        return rows.nbytes + 8 * len(events)
+
+    def rows(self, process: ScenarioProcess, labels: list, n: int, seed: int) -> tuple:
+        """The first ``n`` samples' (``n`` × columns) exposure rows and
+        event counts of ``process`` drawn from ``seed``."""
+        key = (process, seed)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and len(entry[1]) >= n:
+                self._entries.move_to_end(key)
+                return entry[0][:n], entry[1][:n]
+        timelines = process.sample_timelines(n, seed)
+        rows = _exposure_matrix(timelines, labels, process.horizon)
+        rows.flags.writeable = False
+        entry = (rows, tuple(len(t.events) for t in timelines))
+        size = self._size(entry)
+        with self._lock:
+            held = self._entries.get(key)
+            # a racing request may have kept as many samples or more
+            if size <= self.MAX_BYTES and (held is None or len(held[1]) < n):
+                if held is not None:
+                    self._bytes -= self._size(self._entries.pop(key))
+                self._entries[key] = entry
+                self._bytes += size
+                while self._bytes > self.MAX_BYTES:
+                    self._bytes -= self._size(self._entries.popitem(last=False)[1])
+        return entry
+
+
 def _independent_timelines(
     process: ScenarioProcess, n_candidates: int, samples: int, seed: int
 ) -> list:
@@ -303,7 +397,9 @@ def run_mc_robust_plan(
     """The engine behind :meth:`Session.mc_robust_plan`.
 
     Runs inside the session's ``_op`` scope, so ``OBS.metrics`` is the
-    session registry and spans land on the session tracer.
+    session registry and spans land on the session tracer. The common
+    timelines' exposure rows come from the session's
+    :class:`ExposureMemo`.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -335,10 +431,10 @@ def run_mc_robust_plan(
     metrics.counter("mc.samples").inc(samples)
 
     t_draw = time.perf_counter()
-    timelines = process.sample_timelines(samples, seed)
+    exposure, events = session._exposures.rows(process, labels, samples, seed)
     events_hist = metrics.histogram("mc.timeline_events")
-    for timeline in timelines:
-        events_hist.observe(len(timeline.events))
+    for n_events in events:
+        events_hist.observe(n_events)
     if OBS.enabled:
         OBS.tracer.record(
             "mc.sample_timelines", t_draw, time.perf_counter(),
@@ -346,19 +442,17 @@ def run_mc_robust_plan(
         )
 
     # -- price the candidate × scenario matrix once ---------------------
-    per_label = session._price_columns(
+    per_label, times, fits = session._price_columns(
         job, spec, labels, columns,
         frameworks=frameworks,
         microbatch_sizes=microbatch_sizes,
         explore_no_checkpoint=explore_no_checkpoint,
     )
-    # every column lists the same candidates in the same order, so row r
-    # of the (config, scenario) time matrix is candidate r
-    rows = list(zip(*(res.evaluations for res in per_label.values())))
-    times = np.array([[ev.total_time for ev in row] for row in rows])
+
+    first = per_label[labels[0]].evaluations
 
     # -- per-sample costs = priced matrix × exposure weights ------------
-    n_candidates = len(rows)
+    n_candidates = len(first)
     if degenerate:
         # exact degeneration: every sample is the neutral machine, so
         # the mean IS the plan() column — no averaging round-trip
@@ -367,8 +461,7 @@ def run_mc_robust_plan(
         std_arr = np.zeros(n_candidates)
     else:
         if crn:
-            W = _exposure_matrix(timelines, labels, process.horizon)
-            costs = times @ W.T
+            costs = times @ exposure.T
         else:
             costs = np.empty((n_candidates, samples))
             per_candidate = _independent_timelines(
@@ -381,28 +474,6 @@ def run_mc_robust_plan(
         std_arr = (
             costs.std(axis=1, ddof=1) if samples > 1 else np.zeros(n_candidates)
         )
-    ci_arr = Z95 * std_arr / math.sqrt(samples)
-    worst_idx = np.argmax(costs, axis=1)
-
-    entries = []
-    for r, row in enumerate(rows):
-        entries.append(
-            MCCandidate(
-                config=row[0].config,
-                mean_time=float(mean_arr[r]),
-                std_time=float(std_arr[r]),
-                ci95=float(ci_arr[r]),
-                worst_time=float(costs[r, worst_idx[r]]),
-                worst_sample=int(worst_idx[r]),
-                per_scenario={
-                    label: float(times[r, j]) for j, label in enumerate(labels)
-                },
-                sample_costs=tuple(costs[r].tolist()),
-                memory_bytes=row[0].memory_bytes,
-                feasible=all(ev.feasible for ev in row),
-                batch_size=row[0].batch_size,
-            )
-        )
 
     result = MCRobustResult(
         model=spec.name,
@@ -414,7 +485,16 @@ def run_mc_robust_plan(
         seed=seed,
         crn=crn,
         labels=tuple(labels),
-        entries=entries,
+        configs=tuple(ev.config for ev in first),
+        memory=tuple(ev.memory_bytes for ev in first),
+        batch=tuple(ev.batch_size for ev in first),
+        times=times,
+        costs=costs,
+        mean=mean_arr,
+        std=std_arr,
+        ci95=Z95 * std_arr / math.sqrt(samples),
+        worst=np.argmax(costs, axis=1),
+        fits=fits,
         stats={
             "scenarios": len(labels),
             "candidates": sum(r.stats.candidates for r in per_label.values()),
@@ -424,9 +504,8 @@ def run_mc_robust_plan(
             "wall_seconds": round(time.perf_counter() - t0, 4),
         },
     )
-    feasible = result.feasible
-    if feasible:
+    if result.ranking:
         sample_hist = metrics.histogram("mc.sample_seconds")
-        for c in feasible[0].sample_costs:
+        for c in costs[result.ranking[0]].tolist():
             sample_hist.observe(c)
     return result

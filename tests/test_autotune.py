@@ -122,14 +122,15 @@ class TestSearchSpace:
         fresh = SearchSpace(spec, 256)
         expected = list(fresh.candidates())
         first, again = SearchSpace(spec, 256), SearchSpace(get_spec("gpt3-13b"), 256)
-        configs = memo.candidates(first)
+        configs, hashes = memo.lookup(first)
         assert list(configs) == expected
-        assert memo.candidates(again) is configs  # equal inputs: a hit
+        assert hashes == tuple(c.canonical_hash() for c in expected)
+        assert memo.lookup(again)[0] is configs  # equal inputs: a hit
         # a hit reports the enumeration's pruning, like a re-enumeration
         assert first.stats == again.stats == fresh.stats
         for n_gpus in range(1, CandidateMemo.SIZE + 1):
-            memo.candidates(SearchSpace(get_spec("gpt3-xl"), n_gpus))
-        assert memo.candidates(SearchSpace(spec, 256)) is not configs  # evicted
+            memo.lookup(SearchSpace(get_spec("gpt3-xl"), n_gpus))
+        assert memo.lookup(SearchSpace(spec, 256))[0] is not configs  # evicted
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Job, Machine
+from repro.api import Job, Machine, RobustPlanResult
 from repro.autotune.result import PlanResult
 from repro.serve import (
     PersistentEvaluationStore,
@@ -30,6 +30,8 @@ from repro.serve import (
     make_http_server,
     serve_stdio,
 )
+from repro.serve.server import INTERNAL_ERROR
+from repro.stochastic import MCRobustResult
 
 GOLDEN = Path(__file__).parent / "golden"
 _spec = importlib.util.spec_from_file_location(
@@ -77,11 +79,28 @@ def _assert_same_text(got: str, expected: str, what: str) -> None:
                     f"!= {expected[lo:at + 40]!r}")
 
 
+def _plain(result):
+    """The result as a dict, built as the server once built it: ``to_dict()``,
+    then the server's pops."""
+    if isinstance(result, PlanResult):
+        return result.to_dict()
+    if isinstance(result, RobustPlanResult):
+        doc = result.to_dict()
+        doc.pop("per_scenario", None)
+        return doc
+    if isinstance(result, MCRobustResult):
+        doc = result.to_dict()
+        for entry in doc["entries"]:
+            entry.pop("sample_costs", None)
+        return doc
+    return result
+
+
 def _assert_same_bytes(server: PlanningServer, method: str, params: dict, rid=1) -> None:
     """The server's result object, encoded both ways."""
     result = getattr(server, f"do_{method}")(params)
     response = {"jsonrpc": "2.0", "id": rid, "result": result}
-    plain = result.to_dict() if isinstance(result, PlanResult) else result
+    plain = _plain(result)
     _assert_same_text(encode_response(response), json.dumps({**response, "result": plain}), method)
 
 
@@ -131,6 +150,47 @@ class TestByteContract:
             _assert_same_text(text, json.dumps(doc), "handle")
         _assert_same_text(encode_response(texts), json.dumps(docs), "batch array")
         assert encode_response([]) == json.dumps([])
+
+    def test_request_values_json_writes_its_own_way(self):
+        """Scenario names that are not strings and a bool micro-batch size
+        come back as ``json.dumps`` writes them, on a fresh server each."""
+        degraded = {"name": "degraded-ring", "cross_node_bw_multiplier": 0.4}
+        scenarios = {"name": "odd", "members": [
+            {"scenario": None, "weight": 1.0},
+            {"scenario": {**degraded, "name": 5}, "weight": 2.0},
+            {"scenario": {**degraded, "name": None, "cross_node_bw_multiplier": 0.6}, "weight": 1.0},
+        ]}
+        process = {"name": "odd", "horizon": 1.0, "kinds": [
+            {"name": "k", "scenario": {**degraded, "name": 7.5},
+             "rate": {"kind": "constant", "rate": 2.0}, "duration": 0.3},
+        ]}
+        narrow = {"frameworks": ["axonn", "axonn+samo"], "microbatch_sizes": [1]}
+        batch = {**JOB, "fidelity": "analytic-batch"}
+        for method, params in (
+            ("robust_plan", {"job": batch, "scenarios": scenarios, **narrow}),
+            ("mc_robust_plan", {"job": JOB, "process": process, "samples": 4, **narrow}),
+            ("robust_plan", {"job": batch, "scenarios": "collective-degraded",
+                             "microbatch_sizes": [True]}),
+            ("mc_robust_plan", {"job": JOB, "process": "flaky-links", "samples": 4,
+                                "microbatch_sizes": [True]}),
+        ):
+            _assert_same_bytes(PlanningServer(), method, params)
+
+    def test_an_answer_that_cannot_be_written_is_an_error_reply(self):
+        server = PlanningServer()
+        server.do_ping = lambda params: {"unwritable": object()}
+        doc = decode_response(server.handle(_rpc("ping", rid=9)))
+        assert doc["id"] == 9 and doc["error"]["code"] == INTERNAL_ERROR
+        assert "TypeError" in doc["error"]["message"]
+        assert server.session.metrics()['serve.errors{method="ping"}'] == 1
+        # stdio answers it too, singly and in a batch, and keeps reading
+        lines = [json.dumps(_rpc("ping", rid=1)), json.dumps([_rpc("ping", rid=2)]),
+                 json.dumps(_rpc("stats", rid=3))]
+        stdout = io.StringIO()
+        serve_stdio(server, io.StringIO("\n".join(lines) + "\n"), stdout, request_workers=1)
+        single, batch, stats = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert single["error"]["code"] == batch[0]["error"]["code"] == INTERNAL_ERROR
+        assert batch[0]["id"] == 2 and "result" in stats
 
     def test_fragment_is_the_cells_own_encoding(self):
         server = PlanningServer()

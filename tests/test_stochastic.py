@@ -308,6 +308,32 @@ class TestMCRobustPlan:
                 out.append(entry)
         return out
 
+    @staticmethod
+    def _with_copies_of_best(mc, costs: list):
+        """``mc`` with one more candidate row per entry of ``costs``: a
+        copy of the winner's row (so it ranks right after it) carrying
+        those per-sample costs."""
+        import dataclasses
+
+        best, k = mc.ranking[0], len(costs)
+
+        def grow(values, extra):
+            return np.concatenate([values, extra])
+
+        return dataclasses.replace(
+            mc,
+            configs=mc.configs + (mc.configs[best],) * k,
+            memory=mc.memory + (mc.memory[best],) * k,
+            batch=mc.batch + (mc.batch[best],) * k,
+            times=grow(mc.times, np.repeat(mc.times[best:best + 1], k, axis=0)),
+            costs=grow(mc.costs, np.array(costs)),
+            mean=grow(mc.mean, np.repeat(mc.mean[best], k)),
+            std=grow(mc.std, np.repeat(mc.std[best], k)),
+            ci95=grow(mc.ci95, np.repeat(mc.ci95[best], k)),
+            worst=grow(mc.worst, np.repeat(mc.worst[best], k)),
+            fits=grow(mc.fits, np.ones(k, dtype=bool)),
+        )
+
     def test_leaders_match_the_per_candidate_loop(self):
         """One difference matrix reduced row-wise gives the loop's leaders,
         and each row's mean and std are bitwise the loop's 1-D ones.
@@ -315,8 +341,6 @@ class TestMCRobustPlan:
         Real plans rarely tie, so each case also carries noisy copies of
         its winner, some within the 95% interval and some beyond it, and
         one exact copy."""
-        import dataclasses
-
         session = Session(Machine.summit(), cache=EvaluationCache())
         processes = ("flaky-links", _constant_process(3.0), _constant_process(0.5, 0.4))
         rng = np.random.default_rng(0)
@@ -328,13 +352,14 @@ class TestMCRobustPlan:
                         Job(model=model, n_gpus=n_gpus), process,
                         samples=samples, seed=seed,
                     )
-                    best = mc.best
-                    scale = 0.01 * best.mean_time
+                    best = mc.ranking[0]
+                    scale = 0.01 * mc.mean[best]
+                    copies = []
                     for k in (0.0, 1.0, 3.0):
                         noise = rng.normal(k * scale / math.sqrt(samples), scale, samples)
-                        costs = tuple((np.asarray(best.sample_costs) + noise).tolist())
-                        mc.entries.append(dataclasses.replace(best, sample_costs=costs))
-                    mc.entries.append(dataclasses.replace(best))  # an exact tie: 0 <= 0
+                        copies.append(mc.costs[best] + noise)
+                    copies.append(mc.costs[best])  # an exact tie: 0 <= 0
+                    mc = self._with_copies_of_best(mc, copies)
                     leaders = mc.leaders()
                     assert [id(e) for e in leaders] == [id(e) for e in self._loop_leaders(mc)]
                     tied += len(leaders) - 1
