@@ -895,10 +895,11 @@ class Session:
     ) -> None:
         """Price the claim's owned cells into ``claim.values``.
 
-        A batch-capable estimator prices every row holding an owned cell
-        across every column in one ``evaluate_batch`` call; a scalar
-        estimator prices its own scenario, so its matrix has one column
-        and each owned cell is one ``evaluate``.
+        A batch-capable estimator (``analytic`` and ``analytic-batch``)
+        prices every row holding an owned cell across every column in
+        one ``evaluate_batch`` call; a scalar estimator prices its own
+        scenario, so its matrix has one column and each owned cell is
+        one ``evaluate``.
         """
         metrics = OBS.metrics
         fidelity = estimator.fidelity

@@ -9,13 +9,15 @@ stall factors, cross-node bandwidth), so the whole candidate grid ×
 scenario set evaluates as one structure-of-arrays numpy program —
 the lazy build→fuse→realize idiom from ROADMAP's open item.
 
-The scalar :class:`~repro.autotune.estimator.AnalyticEstimator` stays
-the ground truth: every array expression below mirrors the scalar
-formula op-by-op (same association order, same int→float conversion
-points), so each batch cell matches the scalar path to ~1e-9 relative
-tolerance — pinned in ``tests/test_batch_eval.py`` across all named
-scenario sets and both model families, and auditable any time via
-:func:`crosscheck_batch` or ``repro plan --compare-fidelities``.
+This program prices both closed-form fidelities, ``analytic-batch`` and
+``analytic`` (:class:`_Analytic`, under its own label). The scalar
+:class:`~repro.autotune.estimator.AnalyticEstimator` stays the
+reference: every array expression below mirrors the scalar formula
+op-by-op (same association order, same int→float conversion points), so
+each pristine-machine cell is the scalar path's bit for bit
+(``tests/test_analytic_program.py``) and each scenario cell matches it to
+~1e-9 relative tolerance (``tests/test_batch_eval.py``); both are
+auditable via :func:`crosscheck_batch` or ``repro plan --compare-fidelities``.
 
 Integer-exact quantities (model-state bytes, activation footprints,
 gradient payloads — Eqs. 1-5) are computed with Python ints per
@@ -25,6 +27,7 @@ bit-identical to the scalar path, not merely close.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,7 +39,7 @@ from ..models.spec import ModelSpec
 from ..parallel.data_parallel import gradient_bytes_per_gpu
 from ..parallel.partitioner import model_state_bytes
 from ..parallel.perf_model import BatchBreakdown, ParallelConfig
-from ..parallel.scenarios import ClusterScenario, get_scenario
+from ..parallel.scenarios import ClusterScenario, get_scenario, resolve_fidelity
 from .config import SPARSE_MODES
 from .estimator import (
     AnalyticEstimator,
@@ -253,12 +256,12 @@ def _per_column(g_arr: np.ndarray, columns, fn) -> np.ndarray:
 class VectorizedAnalyticEstimator(AnalyticEstimator):
     """Eqs. 6-11 and the memory model as one broadcasted array program.
 
-    ``fidelity="analytic-batch"``. The scalar ``evaluate`` inherited
-    from :class:`AnalyticEstimator` is this estimator's own ground
-    truth: ``evaluate_batch`` must agree with it element-wise, and the
-    fidelity label is a separate cache-key component from the scenario,
-    so a scalar warm-start hits the batch planner's cache and vice
-    versa.
+    ``fidelity="analytic-batch"`` (and, through :class:`_Analytic`,
+    ``analytic``). The scalar ``evaluate`` inherited from
+    :class:`AnalyticEstimator` is this estimator's own reference:
+    ``evaluate_batch`` must agree with it element-wise, and the fidelity
+    label is a separate cache-key component from the scenario, so a
+    scalar warm-start hits the batch planner's cache and vice versa.
 
     Scenario support covers the *collective* knobs (ring-link
     multipliers, a stalling rank, cross-node bandwidth, the allreduce
@@ -723,9 +726,22 @@ def crosscheck_batch(
     }
 
 
-@register_estimator("analytic-batch")
-def _make_analytic_batch(
-    spec, cal=SUMMIT, *, scenario=None, partition_mode="flops",
+class _Analytic(VectorizedAnalyticEstimator):
+    """``fidelity="analytic"``: the array program under the scalar
+    fidelity's label and scenario contract (every scenario is rejected
+    with the shared :func:`resolve_fidelity` message)."""
+
+    fidelity = "analytic"
+    supports_scenarios = False
+
+    @staticmethod
+    def _check_scenario(spec: ModelSpec, scenario: ClusterScenario | None) -> None:
+        if scenario is not None:
+            resolve_fidelity("analytic", scenario)
+
+
+def _make_analytic(
+    estimator, spec, cal=SUMMIT, *, scenario=None, partition_mode="flops",
     overlap=False, placement="block",
 ):
     if partition_mode != "flops":
@@ -738,4 +754,10 @@ def _make_analytic_batch(
             "overlap and placement optimization need the event-driven "
             "engine; use fidelity='sim'"
         )
-    return VectorizedAnalyticEstimator(spec, cal, scenario=scenario)
+    return estimator(spec, cal, scenario=scenario)
+
+
+register_estimator("analytic", functools.partial(_make_analytic, _Analytic))
+register_estimator(
+    "analytic-batch", functools.partial(_make_analytic, VectorizedAnalyticEstimator)
+)

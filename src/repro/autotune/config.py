@@ -13,7 +13,7 @@ produce the same cache entry.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..cluster.calibration import SUMMIT, SummitCalibration
 from ..parallel.partitioner import StorageMode, choose_g_inter
@@ -46,9 +46,11 @@ FRAMEWORK_MODES: dict[str, tuple[StorageMode, ...]] = {
 SPARSE_MODES = frozenset({StorageMode.SAMO, StorageMode.SPARSE_KERNEL})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateConfig:
-    """One point of the autotuner's search space."""
+    """One point of the autotuner's search space (slotted: a planning
+    server's :class:`~repro.autotune.space.CandidateMemo` holds
+    thousands)."""
 
     framework: str
     g_tensor: int
@@ -58,6 +60,10 @@ class CandidateConfig:
     checkpoint_activations: bool
     mode: StorageMode
     sparsity: float
+    #: memo of :meth:`canonical_hash` (outside ``==``, hash and repr)
+    _canonical_hash: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.framework not in FRAMEWORK_MODES:
@@ -145,7 +151,7 @@ class CandidateConfig:
         recompute it for every candidate on every plan, and the sha256
         round-trip was a measurable slice of planner overhead.
         """
-        cached = self.__dict__.get("_canonical_hash")
+        cached = self._canonical_hash
         if cached is None:
             payload = "|".join(str(x) for x in self.canonical_key())
             cached = hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -359,7 +359,12 @@ class CostEstimator:
 
 
 class AnalyticEstimator(CostEstimator):
-    """Closed-form Eqs. 6-11 generalised over the search axes."""
+    """Closed-form Eqs. 6-11 generalised over the search axes.
+
+    The reference that the array program pricing ``fidelity="analytic"``
+    (:mod:`repro.autotune.batch`) reproduces bit for bit; the sim and
+    measured estimators build on it.
+    """
 
     fidelity = "analytic"
 
@@ -742,24 +747,6 @@ def make_estimator(
             "to the estimator (or the estimator must reject it)"
         )
     return estimator
-
-
-@register_estimator("analytic")
-def _make_analytic(
-    spec, cal=SUMMIT, *, scenario=None, partition_mode="flops",
-    overlap=False, placement="block",
-):
-    if partition_mode != "flops":
-        raise ValueError(
-            "time-balanced partitioning needs the event-driven engine; "
-            "use fidelity='sim'"
-        )
-    if overlap or placement != "block":
-        raise ValueError(
-            "overlap and placement optimization need the event-driven "
-            "engine; use fidelity='sim'"
-        )
-    return AnalyticEstimator(spec, cal, scenario=scenario)
 
 
 @register_estimator("sim")

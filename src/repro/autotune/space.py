@@ -235,7 +235,7 @@ class SearchSpace:
 class CandidateMemo:
     """Bounded LRU of enumerated search spaces.
 
-    A planning server asks about the same few spaces over and over; each
+    A planning server asks about the same spaces over and over; each
     hit returns the configs enumerated the first time and their
     ``canonical_hash`` list, kept in the same entry (so the list lives
     and dies with its configs), instead of re-walking the grid and
@@ -243,14 +243,26 @@ class CandidateMemo:
     with the model identified as in evaluation cache keys
     (:func:`spec_signature`, plus the family and sequence length the
     enumeration also reads).
+
+    The bound counts configs, not spaces: a narrowed event-engine space
+    holds a handful and a Table I full-axis space 91-247, so a count of
+    spaces bounds nothing. A sweep of the 16 Table I (model, GPU count)
+    pairs over six sparsities is 96 spaces and 17,138 configs, 3.2 MB
+    held. A config with its hash costs 188 B and an entry's key, lists
+    and counts about 600 B more, so each entry also counts as
+    :attr:`ENTRY_CONFIGS` configs: a full memo holds about 6 MB whatever
+    its spaces' sizes, and only when no stored cell shares its configs.
+    A space larger than the bound is served but not kept.
     """
 
-    #: spaces kept; a server's working set of distinct spaces is small,
-    #: and every entry holds a few hundred configs
-    SIZE = 32
+    #: configs a full memo holds, over all its spaces
+    MAX_CONFIGS = 32_768
+    #: configs an entry counts as beside its own
+    ENTRY_CONFIGS = 3
 
     def __init__(self):
         self._entries: OrderedDict = OrderedDict()
+        self._held = 0  # configs held, each entry counting ENTRY_CONFIGS more
         self._lock = threading.Lock()
 
     def lookup(self, space: SearchSpace) -> tuple[tuple, tuple]:
@@ -258,11 +270,15 @@ class CandidateMemo:
         the same order; ``space.stats`` grows by the enumeration's counts
         on a hit too, as if it had re-enumerated."""
         spec = space.spec
+        # GPU count and micro-batch sizes by type too: 64 == 64.0 and
+        # (True,) == (1,) == (1.0,), yet each is written into the configs
+        # as given
         key = (
-            spec_signature(spec), spec.family, spec.seq_len, space.n_gpus,
+            spec_signature(spec), spec.family, spec.seq_len,
+            type(space.n_gpus), space.n_gpus,
             tuple(space.frameworks), tuple(space.sparsities),
-            tuple(space.microbatch_sizes), space.explore_no_checkpoint,
-            space.max_tensor_parallel, space.cal,
+            tuple((type(m), m) for m in space.microbatch_sizes),
+            space.explore_no_checkpoint, space.max_tensor_parallel, space.cal,
         )
         with self._lock:
             entry = self._entries.get(key)
@@ -275,10 +291,15 @@ class CandidateMemo:
             finally:
                 counts, space.stats = space.stats, total
             entry = (configs, tuple(c.canonical_hash() for c in configs), counts)
+            weight = len(configs) + self.ENTRY_CONFIGS
             with self._lock:
-                self._entries[key] = entry
-                if len(self._entries) > self.SIZE:
-                    self._entries.popitem(last=False)
+                # a racing lookup may have kept an equal entry meanwhile
+                if key not in self._entries and weight <= self.MAX_CONFIGS:
+                    self._entries[key] = entry
+                    self._held += weight
+                    while self._held > self.MAX_CONFIGS:
+                        dropped = self._entries.popitem(last=False)[1][0]
+                        self._held -= len(dropped) + self.ENTRY_CONFIGS
         configs, hashes, counts = entry
         space.stats.add(counts)
         return configs, hashes

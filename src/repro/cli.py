@@ -305,12 +305,14 @@ _DRIFT_PHASES = ("compute", "p2p", "bubble", "collective", "other", "total")
 def _fidelity_drift(session, model: str, result) -> dict:
     """Price the plan winner under every fidelity, keyed per phase.
 
-    ``analytic`` is the ground truth; ``analytic-batch`` goes through
-    :meth:`~repro.autotune.CostEstimator.evaluate_batch` (auditing the
-    actual array program, not its inherited scalar path), ``sim``
-    through the event engine, and ``measured`` through the executed
-    proxy schedule. Values are seconds; drifts are relative to the
-    analytic row.
+    ``analytic`` is the scalar reference
+    (:meth:`~repro.autotune.AnalyticEstimator.evaluate`);
+    ``analytic-batch`` goes through
+    :meth:`~repro.autotune.CostEstimator.evaluate_batch`, auditing the
+    array program that prices both closed-form fidelities in a plan;
+    ``sim`` through the event engine, and ``measured`` through the
+    executed proxy schedule. Values are seconds; drifts are relative to
+    the analytic row.
     """
     from .autotune import make_estimator
     from .models import get_spec

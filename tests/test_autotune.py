@@ -128,8 +128,14 @@ class TestSearchSpace:
         assert memo.lookup(again)[0] is configs  # equal inputs: a hit
         # a hit reports the enumeration's pruning, like a re-enumeration
         assert first.stats == again.stats == fresh.stats
-        for n_gpus in range(1, CandidateMemo.SIZE + 1):
-            memo.lookup(SearchSpace(get_spec("gpt3-xl"), n_gpus))
+        # fill the memo with newer spaces until their configs alone pass
+        # the bound: the oldest space goes
+        held, k = 0, 0
+        while held <= CandidateMemo.MAX_CONFIGS - len(configs):
+            sweep = tuple(i / 20 + k / 1000 for i in range(19))  # ~1,000 configs
+            held += len(memo.lookup(SearchSpace(spec, 256, sparsities=sweep))[0])
+            k += 1
+        assert memo._held <= CandidateMemo.MAX_CONFIGS
         assert memo.lookup(SearchSpace(spec, 256))[0] is not configs  # evicted
 
 

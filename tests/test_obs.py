@@ -300,16 +300,21 @@ class TestMetricsReconciliation:
         assert snap["planner.candidates"] == n
         assert snap["planner.cache.hits"] + snap["planner.cache.misses"] == n
         assert snap["planner.cache.misses"] == res.stats.evaluated
-        assert snap['estimator.calls{fidelity="analytic"}'] == res.stats.evaluated
+        # analytic prices through the batch program: one call (and one
+        # latency sample) per cold plan, sized by its misses
+        assert snap['estimator.batch_rows{fidelity="analytic"}'] == res.stats.evaluated
+        assert snap['estimator.calls{fidelity="analytic"}'] == 1
         lat = snap['estimator.evaluate_seconds{fidelity="analytic"}']
-        assert lat["count"] == res.stats.evaluated
+        assert lat["count"] == 1
 
         # replanning the identical job: all hits, zero new estimator calls
         session.plan(job)
         snap = session.metrics()
         assert snap["planner.candidates"] == 2 * n
         assert snap["planner.cache.hits"] + snap["planner.cache.misses"] == 2 * n
-        assert snap['estimator.calls{fidelity="analytic"}'] == snap["planner.cache.misses"]
+        assert snap['estimator.batch_rows{fidelity="analytic"}'] == snap["planner.cache.misses"]
+        assert snap['estimator.calls{fidelity="analytic"}'] == 1
+        assert snap['estimator.evaluate_seconds{fidelity="analytic"}']["count"] == 1
 
     def test_plan_result_stats_block_in_json(self):
         session = Session(Machine(), cache=EvaluationCache())

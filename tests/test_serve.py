@@ -553,9 +553,9 @@ class TestSessionCoalescing:
 
         def broken(*args, **kwargs):
             est = real(*args, **kwargs)
-            def boom(config):
+            def boom(configs, scenarios=None):
                 raise RuntimeError("estimator exploded")
-            est.evaluate = boom
+            est.evaluate_batch = boom  # the entry analytic cells are priced by
             return est
 
         session_mod.make_estimator = broken

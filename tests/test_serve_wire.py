@@ -176,6 +176,27 @@ class TestByteContract:
         ):
             _assert_same_bytes(PlanningServer(), method, params)
 
+    def test_equal_numbers_of_another_type_are_other_questions(self):
+        """``[true]``, ``[1.0]`` and ``[1]`` micro-batch sizes (and 16.0
+        and 16 GPUs) compare equal in Python, yet each is written into the
+        answer as given: asked in turn on one server, in either order,
+        each answer is the one a fresh server gives."""
+        narrow = {"frameworks": ["axonn", "axonn+samo"], "explore_no_checkpoint": False}
+        batch = {**JOB, "fidelity": "analytic-batch"}
+        groups = (
+            [("robust_plan", {"job": batch, "scenarios": "collective-degraded",
+                              "microbatch_sizes": [m], **narrow}) for m in (True, 1.0, 1)],
+            [("plan", {"job": {**JOB, "n_gpus": n}, **narrow}) for n in (16.0, 16)],
+        )
+        for asks in groups:
+            fresh = [_without_stats(PlanningServer().handle(_rpc(m, p))) for m, p in asks]
+            for order in (range(len(asks)), reversed(range(len(asks)))):
+                server = PlanningServer()
+                for i in order:
+                    method, params = asks[i]
+                    _assert_same_text(_without_stats(server.handle(_rpc(method, params))),
+                                      fresh[i], f"{method} {params}")
+
     def test_an_answer_that_cannot_be_written_is_an_error_reply(self):
         server = PlanningServer()
         server.do_ping = lambda params: {"unwritable": object()}
