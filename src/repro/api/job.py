@@ -8,6 +8,7 @@ validated once at construction.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, replace
 
 from ..autotune.config import FRAMEWORKS
@@ -58,10 +59,15 @@ class Job:
     def __post_init__(self):
         if not isinstance(self.model, str) or not self.model:
             raise ValueError(f"model must be a non-empty name, got {self.model!r}")
-        if self.n_gpus < 1:
-            raise ValueError(f"n_gpus must be >= 1, got {self.n_gpus}")
-        if self.mbs < 1:
-            raise ValueError(f"mbs must be >= 1, got {self.mbs}")
+        for name in ("n_gpus", "mbs"):
+            value = getattr(self, name)
+            # a bool or a float would be priced as a number yet written
+            # into every config as sent; numpy's ints become plain ints
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 <= self.sparsity <= 1.0:
             raise ValueError(f"sparsity must be in [0,1], got {self.sparsity}")
         if self.partition_mode not in PARTITION_MODES:

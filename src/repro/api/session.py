@@ -679,7 +679,7 @@ class Session:
         n = len(cols[0])
         cells = np.fromiter(
             itertools.chain.from_iterable(
-                (ev.breakdown.total, ev.feasible) for col in cols for ev in col
+                (ev.total_time, ev.feasible) for col in cols for ev in col
             ),
             float, count=2 * n * len(cols),
         ).reshape(len(cols), n, 2)
@@ -897,9 +897,12 @@ class Session:
 
         A batch-capable estimator (``analytic`` and ``analytic-batch``)
         prices every row holding an owned cell across every column in
-        one ``evaluate_batch`` call; a scalar estimator prices its own
-        scenario, so its matrix has one column and each owned cell is
-        one ``evaluate``.
+        one ``evaluate_batch`` call, and each owned cell is published as
+        a view of its row and column
+        (:meth:`~repro.autotune.batch.EvaluationBatch.views`),
+        which builds its breakdown only when that is read. A scalar
+        estimator prices its own scenario, so its matrix has one column
+        and each owned cell is one ``evaluate``.
         """
         metrics = OBS.metrics
         fidelity = estimator.fidelity
@@ -931,5 +934,7 @@ class Session:
                 category="plan", rows=len(rows), scenarios=n_cols,
             )
         row_of = {r: k for k, r in enumerate(rows)}
-        for i in claim.owned:
-            values[i] = batch.evaluation(row_of[i // n_cols], i % n_cols)
+        owned = claim.owned
+        views = batch.views([(row_of[i // n_cols], i % n_cols) for i in owned])
+        for i, view in zip(owned, views):
+            values[i] = view

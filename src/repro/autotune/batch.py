@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..parallel.data_parallel import gradient_bytes_per_gpu
 from ..parallel.partitioner import model_state_bytes
 from ..parallel.perf_model import BatchBreakdown, ParallelConfig
 from ..parallel.scenarios import ClusterScenario, get_scenario, resolve_fidelity
-from .config import SPARSE_MODES
+from .config import SPARSE_MODES, CandidateConfig
 from .estimator import (
     AnalyticEstimator,
     Evaluation,
@@ -50,12 +50,15 @@ from .estimator import (
 
 __all__ = [
     "EvaluationBatch",
+    "EvaluationView",
     "VectorizedAnalyticEstimator",
     "crosscheck_batch",
 ]
 
 #: phase names shared by BatchBreakdown and the SoA arrays
 PHASES = ("compute", "p2p", "bubble", "collective", "other")
+#: every array field of an EvaluationBatch (read-only once built)
+_ARRAYS = (*PHASES, "total", "memory_bytes", "feasible", "t_f", "t_b", "overhead", "microbatches")
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +74,13 @@ class EvaluationBatch:
     pristine machine). Phase arrays are ``(n_configs, n_scenarios)``
     float64 seconds; memory and feasibility are per-config (the memory
     model — Eqs. 1-5 — does not depend on the scenario knobs).
-    Cell ``(i, j)`` materialises back into the exact scalar
-    :class:`~repro.autotune.estimator.Evaluation` via :meth:`evaluation`,
-    which is how the planner back-fills the shared evaluation cache so
-    scalar and batch runs interconvert.
+    :attr:`total` is summed once, in ``BatchBreakdown.total``'s order,
+    and every array is read-only once the batch is built.
+
+    The planner publishes cells as :meth:`views`, which read their
+    numbers from the arrays; cell ``(i, j)`` also materialises into the
+    exact scalar :class:`~repro.autotune.estimator.Evaluation` via
+    :meth:`evaluation`, so scalar and batch runs interconvert.
     """
 
     configs: tuple
@@ -100,10 +106,23 @@ class EvaluationBatch:
     microbatches: np.ndarray | None = None
     #: pre-materialised cells (row-major), set by the scalar fallback
     cells: tuple | None = field(default=None, repr=False)
-    #: shared by the cells materialised from this batch: row index ->
+    #: batch seconds per cell, ``(n_configs, n_scenarios)``
+    total: np.ndarray = field(init=False, repr=False, compare=False)
+    #: shared by the breakdowns built from this batch: row index ->
     #: (ParallelConfig, notes), and decomposition -> ParallelConfig
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _pcfgs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # BatchBreakdown.total's association order, so a view's total is
+        # the bits its materialised breakdown sums to
+        object.__setattr__(
+            self, "total", self.compute + self.p2p + self.bubble + self.collective + self.other
+        )
+        for name in _ARRAYS:
+            array = getattr(self, name)
+            if array is not None:
+                array.flags.writeable = False
 
     @property
     def n_configs(self) -> int:
@@ -113,21 +132,33 @@ class EvaluationBatch:
     def n_scenarios(self) -> int:
         return len(self.scenarios)
 
-    @property
-    def total(self) -> np.ndarray:
-        """Batch seconds per cell, ``(n_configs, n_scenarios)``."""
-        return self.compute + self.p2p + self.bubble + self.collective + self.other
+    def views(self, cells) -> list:
+        """One :class:`EvaluationView` per ``(row, column)`` pair of
+        ``cells`` (the scalar fallback's own cells, when it set them)."""
+        if self.cells is not None:
+            return [self.cells[i][j] for i, j in cells]
+        return [EvaluationView(self, i, j) for i, j in cells]
 
     def evaluation(self, i: int, j: int = 0) -> Evaluation:
-        """Materialise cell ``(i, j)`` as a scalar :class:`Evaluation`.
-
-        A row's cells share one ParallelConfig and notes dict, and equal
-        ParallelConfigs are one object: stored cells never change.
-        """
+        """Materialise cell ``(i, j)`` as a scalar :class:`Evaluation`."""
         if self.cells is not None:
             return self.cells[i][j]
+        return Evaluation(
+            config=self.configs[i],
+            breakdown=self.breakdown(i, j),
+            memory_bytes=self.memory_bytes.item(i),
+            feasible=self.feasible.item(i),
+            batch_size=self.batch_size,
+            fidelity=self.fidelity,
+        )
+
+    def breakdown(self, i: int, j: int = 0) -> BatchBreakdown:
+        """Cell ``(i, j)``'s phase breakdown, built anew.
+
+        A row's breakdowns share one ParallelConfig and notes dict, and
+        equal ParallelConfigs are one object: stored cells never change.
+        """
         config = self.configs[i]
-        mem = int(self.memory_bytes[i])
         row = self._rows.get(i)
         if row is None:
             # shape: the ParallelConfig fields (n_gpus, g_inter, g_data, mbs, microbatches)
@@ -136,11 +167,11 @@ class EvaluationBatch:
                 notes = {"mode": config.mode, "fidelity": self.fidelity}
             else:
                 shape = (config.g_inter * config.g_data, config.g_inter, config.g_data,
-                         config.mbs, int(self.microbatches[i]))
+                         config.mbs, self.microbatches.item(i))
                 notes = {
-                    "t_f": float(self.t_f[i]),
-                    "t_b": float(self.t_b[i]),
-                    "overhead": float(self.overhead[i]),
+                    "t_f": self.t_f.item(i),
+                    "t_b": self.t_b.item(i),
+                    "overhead": self.overhead.item(i),
                     "mode": config.mode,
                     "g_tensor": config.g_tensor,
                     "fidelity": self.fidelity,
@@ -148,30 +179,18 @@ class EvaluationBatch:
             pcfg = self._pcfgs.get(shape) or self._pcfgs.setdefault(shape, ParallelConfig(*shape))
             row = self._rows[i] = (pcfg, notes)
         pcfg, notes = row
-        breakdown = BatchBreakdown(
+        return BatchBreakdown(
             framework=config.framework,
             model=self.model,
             config=pcfg,
-            compute=float(self.compute[i, j]),
-            p2p=float(self.p2p[i, j]),
-            bubble=float(self.bubble[i, j]),
-            collective=float(self.collective[i, j]),
-            other=float(self.other[i, j]),
-            memory_per_gpu=mem,
+            compute=self.compute.item(i, j),
+            p2p=self.p2p.item(i, j),
+            bubble=self.bubble.item(i, j),
+            collective=self.collective.item(i, j),
+            other=self.other.item(i, j),
+            memory_per_gpu=self.memory_bytes.item(i),
             notes=notes,
         )
-        return Evaluation(
-            config=config,
-            breakdown=breakdown,
-            memory_bytes=mem,
-            feasible=bool(self.feasible[i]),
-            batch_size=self.batch_size,
-            fidelity=self.fidelity,
-        )
-
-    def evaluations(self, j: int = 0) -> list[Evaluation]:
-        """All rows of scenario column ``j`` as scalar evaluations."""
-        return [self.evaluation(i, j) for i in range(self.n_configs)]
 
     @classmethod
     def from_evaluations(
@@ -214,6 +233,98 @@ class EvaluationBatch:
             cells=tuple(tuple(row) for row in rows),
             **arrays,
         )
+
+
+#: Evaluation's own slots that a view fills: its breakdown, once built,
+#: and its wire fragment
+_BREAKDOWN = Evaluation.__dict__["breakdown"]
+_FRAGMENT = Evaluation.__dict__["fragment"]
+
+
+class EvaluationView(Evaluation):
+    """Cell ``(row, column)`` of an :class:`EvaluationBatch`, read as an
+    :class:`~repro.autotune.estimator.Evaluation`.
+
+    Config, memory, feasibility, batch size, fidelity and total are read
+    from the batch on each access; the breakdown is built by
+    :meth:`EvaluationBatch.breakdown` on its first read and kept. A view
+    equals its materialised twin (:meth:`EvaluationBatch.evaluation`) in
+    both directions, and its repr and :meth:`to_dict` are the twin's;
+    :meth:`to_dict` builds no breakdown that it keeps. Like the batch
+    arrays it reads, a view is immutable: threads that race on a first
+    read may build two equal breakdowns, so no lock is needed.
+    """
+
+    __slots__ = ("batch", "row", "column")
+
+    def __init__(self, batch: EvaluationBatch, row: int, column: int):
+        # the slots' own setters: object.__setattr__ costs twice as much,
+        # and a server makes a view per priced cell
+        _set_batch(self, batch)
+        _set_row(self, row)
+        _set_column(self, column)
+        _FRAGMENT.__set__(self, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def config(self) -> CandidateConfig:
+        return self.batch.configs[self.row]
+
+    @property
+    def breakdown(self) -> BatchBreakdown:
+        try:
+            return _BREAKDOWN.__get__(self)
+        except AttributeError:
+            built = self.batch.breakdown(self.row, self.column)
+            _BREAKDOWN.__set__(self, built)
+            return built
+
+    @property
+    def memory_bytes(self) -> int:
+        return self.batch.memory_bytes.item(self.row)
+
+    @property
+    def feasible(self) -> bool:
+        return self.batch.feasible.item(self.row)
+
+    @property
+    def batch_size(self) -> int:
+        return self.batch.batch_size
+
+    @property
+    def fidelity(self) -> str:
+        return self.batch.fidelity
+
+    @property
+    def total_time(self) -> float:
+        return self.batch.total.item(self.row, self.column)
+
+    def twin(self) -> Evaluation:
+        """This cell materialised (:meth:`EvaluationBatch.evaluation`)."""
+        return self.batch.evaluation(self.row, self.column)
+
+    def to_dict(self) -> dict:
+        return self.twin().to_dict()
+
+    def __repr__(self) -> str:
+        return repr(self.twin())
+
+    def __eq__(self, other):
+        if isinstance(other, EvaluationView):
+            other = other.twin()
+        elif not isinstance(other, Evaluation):
+            return NotImplemented
+        return self.twin() == other
+
+
+_set_batch = EvaluationView.batch.__set__
+_set_row = EvaluationView.row.__set__
+_set_column = EvaluationView.column.__set__
 
 
 # ---------------------------------------------------------------------------

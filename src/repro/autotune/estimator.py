@@ -133,6 +133,14 @@ def candidate_memory_per_gpu(
 class Evaluation:
     """Costed candidate: the Figure-8 breakdown plus memory feasibility.
 
+    A cell priced by the array program is an
+    :class:`~repro.autotune.batch.EvaluationView`: a row of its
+    :class:`~repro.autotune.batch.EvaluationBatch` that reads as this
+    class on every public read (fields, :attr:`total_time`,
+    :attr:`throughput`, :meth:`to_dict`, repr, ``==``) and builds its
+    breakdown only when that is read. Ranking reads :attr:`total_time`
+    and :attr:`feasible`, never the breakdown.
+
     A stored cell never changes, so :attr:`fragment` can keep its wire
     form, ``json.dumps(self.to_dict())``: ``repro.serve.server`` sets it
     to ``""`` on the cell's first encode and to the text on its second,
@@ -155,7 +163,7 @@ class Evaluation:
     @property
     def throughput(self) -> float:
         """Samples per second for the global batch."""
-        return self.batch_size / self.breakdown.total
+        return self.batch_size / self.total_time
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; inverse of :meth:`from_dict`."""
@@ -180,7 +188,6 @@ class Evaluation:
         )
 
     def as_row(self) -> dict:
-        b = self.breakdown
         return {
             "framework": self.config.framework,
             "mode": str(self.config.mode),
@@ -190,7 +197,7 @@ class Evaluation:
             "mbs": self.config.mbs,
             "ckpt": "y" if self.config.checkpoint_activations else "n",
             "p": f"{self.config.sparsity:g}",
-            "time (s)": round(b.total, 3),
+            "time (s)": round(self.total_time, 3),
             "tput (smp/s)": round(self.throughput, 1),
             "mem/GPU (GB)": round(self.memory_bytes / 1e9, 2),
             "feasible": "y" if self.feasible else "n",

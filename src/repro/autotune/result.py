@@ -92,7 +92,7 @@ class PlanResult:
         Full-precision floats, so two plans serialized from identical
         inputs are diffable artifacts (``repro plan --json``).
         """
-        return self.layout(Evaluation.to_dict)
+        return self.layout(lambda ev: ev.to_dict())
 
     def layout(self, cell) -> dict:
         """:meth:`to_dict`'s fields with each evaluation mapped by ``cell``

@@ -51,8 +51,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
 
 from ..api import Job, Machine, RobustPlanResult, ScenarioSet, Session
+from ..autotune.batch import EvaluationView
 from ..autotune.estimator import Evaluation
 from ..autotune.result import PlanResult, RowResult
 from ..parallel.scenarios import ClusterScenario
@@ -71,19 +73,27 @@ INTERNAL_ERROR = -32000
 
 
 def _fragment(ev: Evaluation) -> str:
-    """The cell's canonical JSON. The first encode only marks the cell as
-    seen (an empty fragment) and the second keeps the text on it, so a
-    cell encoded once keeps nothing (racing threads write equal values,
-    so no lock is needed)."""
+    """The cell's canonical JSON, ``json.dumps(ev.to_dict())``: a view of
+    a priced batch is written from the batch's numbers (:func:`_view`),
+    any other cell through ``to_dict``. The first encode only marks the
+    cell as seen (an empty fragment) and the second keeps the text on
+    it, so a cell encoded once keeps nothing (racing threads write equal
+    values, so no lock is needed)."""
     text = ev.fragment
     if not text:
-        encoded = json.dumps(ev.to_dict())
+        encoded = _view(ev) if ev.__class__ is EvaluationView else json.dumps(ev.to_dict())
         object.__setattr__(ev, "fragment", "" if text is None else encoded)
         return encoded
     return text
 
 
 _BOOL = {True: "true", False: "false"}
+
+
+def _mbs(mbs) -> str:
+    # a micro-batch size is whatever number the request sent, a bool too
+    return mbs if mbs.__class__ is int else json.dumps(mbs)
+
 
 #: CandidateConfig.to_dict() as json.dumps writes it
 _CONFIG = (
@@ -93,13 +103,54 @@ _CONFIG = (
 
 
 def _config(c) -> str:
-    # the mode is a str enum: its string is its value; the micro-batch
-    # size is whatever number the request sent, a bool too
-    mbs = c.mbs
+    # the mode is a str enum: its string is its value
     return _CONFIG % (
-        _string(c.framework), c.g_tensor, c.g_inter, c.g_data,
-        mbs if mbs.__class__ is int else json.dumps(mbs),
+        _string(c.framework), c.g_tensor, c.g_inter, c.g_data, _mbs(c.mbs),
         _BOOL[c.checkpoint_activations], _string(c.mode), c.sparsity,
+    )
+
+
+#: Evaluation.to_dict() of a batch-priced cell as json.dumps writes it
+#: (see EvaluationBatch.breakdown for the ParallelConfig and notes)
+_VIEW = (
+    '{"config": %s, "breakdown": {"framework": %s, "model": %s, "config": '
+    '{"n_gpus": %s, "g_inter": %s, "g_data": %s, "mbs": %s, "microbatches": %s}, '
+    '"compute": %r, "p2p": %r, "bubble": %r, "collective": %r, "other": %r, "total": %r, '
+    '"memory_per_gpu": %s, "notes": {%s"mode": %s, %s"fidelity": %s}}, '
+    '"memory_bytes": %s, "feasible": %s, "batch_size": %s, "fidelity": %s}'
+)
+_PIPELINE_NOTES = '"t_f": %r, "t_b": %r, "overhead": %r, '
+
+
+def _view(ev: EvaluationView) -> str:
+    """``json.dumps(ev.to_dict())`` of a view, written from its batch's
+    numbers through :data:`_VIEW`: each float is read as a Python float,
+    whose ``%r`` is what json.dumps writes; a cell with a non-finite
+    number goes through ``to_dict``, which json.dumps spells."""
+    batch, i, j = ev.batch, ev.row, ev.column
+    c = batch.configs[i]
+    total = batch.total.item(i, j)
+    mbs = _mbs(c.mbs)
+    if batch.family == "cnn":
+        check = total
+        shape = (c.n_gpus, 1, c.n_gpus, mbs, 1)
+        pipeline, g_tensor = "", ""
+    else:
+        t_f, t_b, overhead = batch.t_f.item(i), batch.t_b.item(i), batch.overhead.item(i)
+        check = total + t_f + t_b + overhead
+        shape = (c.g_inter * c.g_data, c.g_inter, c.g_data, mbs, batch.microbatches.item(i))
+        pipeline = _PIPELINE_NOTES % (t_f, t_b, overhead)
+        g_tensor = '"g_tensor": %s, ' % c.g_tensor
+    if not isfinite(check):  # a non-finite number anywhere makes this one non-finite
+        return json.dumps(ev.to_dict())
+    memory = batch.memory_bytes.item(i)
+    fidelity = _string(batch.fidelity)
+    return _VIEW % (
+        _config(c), _string(c.framework), _string(batch.model), *shape,
+        batch.compute.item(i, j), batch.p2p.item(i, j), batch.bubble.item(i, j),
+        batch.collective.item(i, j), batch.other.item(i, j), total,
+        memory, pipeline, _string(c.mode), g_tensor, fidelity,
+        memory, _BOOL[batch.feasible.item(i)], batch.batch_size, fidelity,
     )
 
 

@@ -27,10 +27,14 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 from repro.api import Job, Machine, ScenarioSet
-from repro.parallel.scenarios import SCENARIOS
+from repro.autotune.cache import evaluation_cache_key
+from repro.autotune.estimator import Evaluation
+from repro.models import get_spec
+from repro.parallel.scenarios import SCENARIOS, get_scenario
 from repro.serve import PlanningServer
 
 OUT = Path(__file__).with_name("robust_answers.json")
@@ -98,14 +102,24 @@ FLAKY_COLUMNS = ScenarioSet.of("uniform", "slow-ring-link", "degraded-ring", nam
 
 def patch_non_finite(server: PlanningServer) -> None:
     """Price the flaky-links columns of the narrowed gpt3-xl@16 space,
-    then set one cell's total to +inf and another's to NaN."""
+    then store one cell again with a +inf total and another with a NaN
+    one (stored cells never change: each is replaced by a new one whose
+    compute phase is non-finite)."""
     res = server.session.robust_plan(Job(**BATCH), FLAKY_COLUMNS, **{
         "frameworks": tuple(NARROW["frameworks"]),
         "microbatch_sizes": tuple(NARROW["microbatch_sizes"]),
         "explore_no_checkpoint": NARROW["explore_no_checkpoint"],
     })
-    res.per_scenario["slow-ring-link"].evaluations[0].breakdown.compute = float("inf")
-    res.per_scenario["degraded-ring"].evaluations[1].breakdown.compute = float("nan")
+    spec = get_spec(BATCH["model"])
+    for label, row, compute in (("slow-ring-link", 0, float("inf")), ("degraded-ring", 1, float("nan"))):
+        ev = res.per_scenario[label].evaluations[row]
+        key = evaluation_cache_key(
+            server.session.machine, spec, ev.fidelity, ev.config, get_scenario(label)
+        )
+        server.store.put(key, Evaluation(
+            ev.config, replace(ev.breakdown, compute=compute), ev.memory_bytes,
+            ev.feasible, ev.batch_size, ev.fidelity,
+        ))
 
 
 #: (budget_gb or None, patch or None, [(method, params), ...]); each group

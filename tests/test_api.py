@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -60,6 +61,16 @@ class TestJob:
             Job(model="gpt3-xl", n_gpus=8, partition_mode="bytes")
         with pytest.raises(ValueError, match="unknown framework"):
             Job(model="gpt3-xl", n_gpus=8, framework="megatron")
+        # a GPU count or micro-batch size must be an integer, not a bool
+        # or a float of integral value
+        for bad in (64.0, True, 1.5, "64"):
+            with pytest.raises(ValueError, match="n_gpus must be an integer"):
+                Job(model="gpt3-xl", n_gpus=bad)
+            with pytest.raises(ValueError, match="mbs must be an integer"):
+                Job(model="gpt3-xl", n_gpus=8, mbs=bad)
+        job = Job(model="gpt3-xl", n_gpus=np.int64(64), mbs=np.int32(2))
+        assert type(job.n_gpus) is int and type(job.mbs) is int
+        assert job == Job(model="gpt3-xl", n_gpus=64, mbs=2)
 
 
 class TestMachine:

@@ -30,7 +30,7 @@ from repro.serve import (
     make_http_server,
     serve_stdio,
 )
-from repro.serve.server import INTERNAL_ERROR
+from repro.serve.server import INTERNAL_ERROR, INVALID_PARAMS
 from repro.stochastic import MCRobustResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,16 +177,22 @@ class TestByteContract:
             _assert_same_bytes(PlanningServer(), method, params)
 
     def test_equal_numbers_of_another_type_are_other_questions(self):
-        """``[true]``, ``[1.0]`` and ``[1]`` micro-batch sizes (and 16.0
-        and 16 GPUs) compare equal in Python, yet each is written into the
-        answer as given: asked in turn on one server, in either order,
-        each answer is the one a fresh server gives."""
+        """``[true]``, ``[1.0]`` and ``[1]`` micro-batch sizes compare
+        equal in Python, yet each is written into the answer as given:
+        asked in turn on one server, in either order, each answer is the
+        one a fresh server gives. A GPU count is a job field, which must
+        be an integer: 16.0 is refused as invalid params."""
         narrow = {"frameworks": ["axonn", "axonn+samo"], "explore_no_checkpoint": False}
         batch = {**JOB, "fidelity": "analytic-batch"}
+        server = PlanningServer()
+        for n in (16.0, True):
+            doc = decode_response(server.handle(_rpc("plan", {"job": {**JOB, "n_gpus": n}, **narrow})))
+            assert doc["error"]["code"] == INVALID_PARAMS
+            assert "n_gpus must be an integer" in doc["error"]["message"]
+        assert server.store.stats()["entries"] == 0
         groups = (
             [("robust_plan", {"job": batch, "scenarios": "collective-degraded",
                               "microbatch_sizes": [m], **narrow}) for m in (True, 1.0, 1)],
-            [("plan", {"job": {**JOB, "n_gpus": n}, **narrow}) for n in (16.0, 16)],
         )
         for asks in groups:
             fresh = [_without_stats(PlanningServer().handle(_rpc(m, p))) for m, p in asks]
