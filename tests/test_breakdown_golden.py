@@ -3,11 +3,12 @@
 The corpus (``tests/golden/make_breakdowns.py``) was written by the
 batch-time engine that priced ``analytic`` and ``sim`` breakdowns before
 they became one cell of the estimators. Each question is asked again
-through :meth:`Session.breakdown` and compared with ``==`` on every
-phase, the total, memory and the parallel config. The notes keep the
-estimator's layout: the engine's ``pipeline_fidelity`` is the
-estimator's ``fidelity`` label and GPT notes carry ``g_tensor``; a CNN
-cell's notes are its mode and label.
+through :meth:`Session.breakdown` and compared as wire text
+(``json.dumps``), so every phase, the total, memory, the parallel config
+and the notes must match in value, float repr and key order. The notes
+keep the estimator's layout: where the engine wrote
+``pipeline_fidelity``, GPT notes carry ``g_tensor`` and the estimator's
+``fidelity`` label; a CNN cell's notes are its mode and label.
 """
 
 from __future__ import annotations
@@ -40,8 +41,12 @@ def _expected_notes(notes: dict, label: str, family: str) -> dict:
         return notes
     if family == "cnn":
         return {"mode": notes["mode"], "fidelity": label}
-    out = {k: v for k, v in notes.items() if k != "pipeline_fidelity"}
-    out.update(g_tensor=1, fidelity=label)
+    out = {}
+    for key, value in notes.items():
+        if key == "pipeline_fidelity":
+            out.update(g_tensor=1, fidelity=label)
+        else:
+            out[key] = value
     return out
 
 
@@ -68,7 +73,7 @@ def test_breakdown_matches_golden(session, record):
     want["notes"] = _expected_notes(
         want["notes"], _label(job, scenario), get_spec(job.model).family
     )
-    assert got == want
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_corpus_covers_every_knob():
