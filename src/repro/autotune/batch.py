@@ -80,7 +80,7 @@ class EvaluationBatch:
     The planner publishes cells as :meth:`views`, which read their
     numbers from the arrays; cell ``(i, j)`` also materialises into the
     exact scalar :class:`~repro.autotune.estimator.Evaluation` via
-    :meth:`evaluation`, so scalar and batch runs interconvert.
+    :meth:`evaluation`.
     """
 
     configs: tuple
@@ -104,8 +104,6 @@ class EvaluationBatch:
     t_b: np.ndarray | None = None
     overhead: np.ndarray | None = None
     microbatches: np.ndarray | None = None
-    #: pre-materialised cells (row-major), set by the scalar fallback
-    cells: tuple | None = field(default=None, repr=False)
     #: batch seconds per cell, ``(n_configs, n_scenarios)``
     total: np.ndarray = field(init=False, repr=False, compare=False)
     #: shared by the breakdowns built from this batch: row index ->
@@ -133,16 +131,11 @@ class EvaluationBatch:
         return len(self.scenarios)
 
     def views(self, cells) -> list:
-        """One :class:`EvaluationView` per ``(row, column)`` pair of
-        ``cells`` (the scalar fallback's own cells, when it set them)."""
-        if self.cells is not None:
-            return [self.cells[i][j] for i, j in cells]
+        """One :class:`EvaluationView` per ``(row, column)`` pair of ``cells``."""
         return [EvaluationView(self, i, j) for i, j in cells]
 
     def evaluation(self, i: int, j: int = 0) -> Evaluation:
         """Materialise cell ``(i, j)`` as a scalar :class:`Evaluation`."""
-        if self.cells is not None:
-            return self.cells[i][j]
         return Evaluation(
             config=self.configs[i],
             breakdown=self.breakdown(i, j),
@@ -190,48 +183,6 @@ class EvaluationBatch:
             other=self.other.item(i, j),
             memory_per_gpu=self.memory_bytes.item(i),
             notes=notes,
-        )
-
-    @classmethod
-    def from_evaluations(
-        cls,
-        configs,
-        scenarios,
-        rows,
-        fidelity: str,
-        batch_size: int,
-    ) -> "EvaluationBatch":
-        """Assemble a batch from scalar evaluations (the loop fallback).
-
-        ``rows[i][j]`` is the evaluation of ``configs[i]`` under
-        ``scenarios[j]``; the SoA arrays are filled from their
-        breakdowns so array consumers (robust reduction, benchmarks)
-        see one uniform shape regardless of which path priced the batch.
-        """
-        configs = tuple(configs)
-        scenarios = tuple(scenarios)
-        shape = (len(configs), len(scenarios))
-        arrays = {p: np.zeros(shape) for p in PHASES}
-        memory = np.zeros(len(configs), dtype=np.int64)
-        feasible = np.zeros(len(configs), dtype=bool)
-        model = ""
-        for i, row in enumerate(rows):
-            for j, ev in enumerate(row):
-                for p in PHASES:
-                    arrays[p][i, j] = getattr(ev.breakdown, p)
-                model = ev.breakdown.model
-            memory[i] = row[0].memory_bytes
-            feasible[i] = row[0].feasible
-        return cls(
-            configs=configs,
-            scenarios=scenarios,
-            fidelity=fidelity,
-            batch_size=batch_size,
-            model=model,
-            memory_bytes=memory,
-            feasible=feasible,
-            cells=tuple(tuple(row) for row in rows),
-            **arrays,
         )
 
 
@@ -413,6 +364,14 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
                 "degradations"
             )
 
+    def with_scenario(self, scenario) -> "VectorizedAnalyticEstimator":
+        """This estimator re-bound to ``scenario`` (self when unchanged):
+        its scalar ``evaluate`` then prices that one column of a batch,
+        which is how :func:`crosscheck_batch` audits the program."""
+        if get_scenario(scenario) == self.scenario:
+            return self
+        return type(self)(self.spec, self.cal, scenario=scenario)
+
     # -- batch entry --------------------------------------------------------
     def evaluate_batch(self, configs, scenarios=None) -> EvaluationBatch:
         configs = tuple(configs)
@@ -426,56 +385,45 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
             return self._batch_cnn(configs, columns)
         return self._batch_transformer(configs, columns)
 
-    # -- shared integer-exact pieces ---------------------------------------
-    def _memory_arrays(self, configs) -> tuple[np.ndarray, np.ndarray]:
-        """Eqs. 1-5 per config with Python-int arithmetic (bit-exact).
+    # -- integer-exact pieces (Eqs. 1-5) ------------------------------------
+    def _bytes(self, configs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-GPU memory, its feasibility and the all-reduce payload.
 
-        Mirrors :func:`candidate_memory_per_gpu` but memoises its two
-        layer-sum terms at their true granularity — state bytes depend
-        only on ``(mode, sparsity, G_data)`` and activations only on
-        ``(mbs, checkpoint)`` — so the O(layers) sums run once per
-        distinct knob value, not once per candidate.
+        Python-int arithmetic mirroring :func:`candidate_memory_per_gpu`
+        and :func:`gradient_bytes_per_gpu` (bit-exact), each term memoised
+        at its true granularity — state bytes on ``(mode, sparsity,
+        G_data)``, activations on ``(mbs, checkpoint)``, the payload on
+        ``(G_tensor * G_inter, sparse, sparsity)`` — so the O(layers) sums
+        run once per distinct knob value, not once per candidate.
         """
-        cal = self.cal
-        budget = cal.gpu_memory_bytes
-        overhead = cal.framework_overhead_bytes
+        spec = self.spec
+        fw_overhead = self.cal.framework_overhead_bytes
         state_memo: dict = {}
         act_memo: dict = {}
-        mems = []
+        grad_memo: dict = {}
+        mem_l, grad_l = [], []
         for c in configs:
-            skey = (c.mode, c.sparsity, c.g_data)
-            state = state_memo.get(skey)
+            mode, sparsity, g_data, g_tensor = c.mode, c.sparsity, c.g_data, c.g_tensor
+            mpd = g_tensor * c.g_inter
+            key = (mode, sparsity, g_data)
+            state = state_memo.get(key)
             if state is None:
-                state = state_memo[skey] = model_state_bytes(
-                    self.spec, c.mode, c.sparsity, g_data=c.g_data
+                state = state_memo[key] = model_state_bytes(
+                    spec, mode, sparsity, g_data=g_data
                 )
-            akey = (c.mbs, c.checkpoint_activations)
-            acts = act_memo.get(akey)
+            key = (c.mbs, c.checkpoint_activations)
+            acts = act_memo.get(key)
             if acts is None:
-                acts = act_memo[akey] = activation_footprint_bytes(
-                    self.spec, c.mbs, c.checkpoint_activations
-                )
-            mems.append(
-                state // c.model_parallel_degree + acts // c.g_tensor + overhead
-            )
-        memory = np.array(mems, dtype=np.int64)
-        feasible = np.array([m <= budget for m in mems], dtype=bool)
-        return memory, feasible
-
-    def _gradient_bytes(self, configs) -> np.ndarray:
-        """Per-GPU all-reduce payload (Python-int exact, then broadcast)."""
-        memo: dict = {}
-        out = np.empty(len(configs), dtype=np.int64)
-        for i, c in enumerate(configs):
-            key = (c.model_parallel_degree, c.mode in SPARSE_MODES, c.sparsity)
-            nbytes = memo.get(key)
+                acts = act_memo[key] = activation_footprint_bytes(spec, *key)
+            mem_l.append(state // mpd + acts // g_tensor + fw_overhead)
+            key = (mpd, mode in SPARSE_MODES, sparsity)
+            nbytes = grad_memo.get(key)
             if nbytes is None:
-                nbytes = memo[key] = gradient_bytes_per_gpu(
-                    self.spec, c.model_parallel_degree,
-                    c.mode in SPARSE_MODES, c.sparsity,
-                )
-            out[i] = nbytes
-        return out
+                nbytes = grad_memo[key] = gradient_bytes_per_gpu(spec, *key)
+            grad_l.append(nbytes)
+        memory = np.array(mem_l, dtype=np.int64)
+        grad_bytes = np.array(grad_l, dtype=np.int64)
+        return memory, memory <= self.cal.gpu_memory_bytes, grad_bytes
 
     # -- data-parallel collective (Eqs. 10-11 + hierarchical schedule) ------
     def _dp_collective(
@@ -601,19 +549,13 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
 
         # -- one extraction pass over the grid ------------------------------
         # Every per-candidate scalar (decomposition, efficiency, message
-        # time, the Eqs. 1-5 int-exact byte counts) comes out of a single
-        # Python loop; anything with few distinct values is memoised so
-        # the O(layers) sums run per distinct knob, never per candidate.
+        # time) comes out of a single Python loop, memoised where values
+        # are few; the Eqs. 1-5 byte counts come from _bytes.
         eff_memo: dict = {}
         msg_memo: dict = {}
-        state_memo: dict = {}
-        act_memo: dict = {}
-        grad_memo: dict = {}
-        fw_overhead = cal.framework_overhead_bytes
         max_boundary = self._max_boundary_elems
         gt_l, gi_l, gd_l, mbs_l, m_l = [], [], [], [], []
         eff_l, bwd_l, samo_l, ds_l, msg_l = [], [], [], [], []
-        mem_l, grad_l = [], []
         for c in configs:
             g_tensor, g_inter, g_data, mbs_c = c.g_tensor, c.g_inter, c.g_data, c.mbs
             if B % (g_data * mbs_c):
@@ -639,29 +581,7 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
                     pipeline_message_bytes(mbs_c, max_boundary), cal=cal
                 )
             msg_l.append(t)
-            # memory (Eqs. 1-5), mirroring candidate_memory_per_gpu
-            mpd_c = g_tensor * g_inter
-            skey = (c.mode, c.sparsity, g_data)
-            state = state_memo.get(skey)
-            if state is None:
-                state = state_memo[skey] = model_state_bytes(
-                    spec, c.mode, c.sparsity, g_data=g_data
-                )
-            akey = (mbs_c, c.checkpoint_activations)
-            acts = act_memo.get(akey)
-            if acts is None:
-                acts = act_memo[akey] = activation_footprint_bytes(
-                    spec, mbs_c, c.checkpoint_activations
-                )
-            mem_l.append(state // mpd_c + acts // g_tensor + fw_overhead)
-            # all-reduce payload (Python-int exact)
-            gkey = (mpd_c, c.mode in SPARSE_MODES, c.sparsity)
-            nb = grad_memo.get(gkey)
-            if nb is None:
-                nb = grad_memo[gkey] = gradient_bytes_per_gpu(
-                    spec, mpd_c, c.mode in SPARSE_MODES, c.sparsity
-                )
-            grad_l.append(nb)
+        memory, feasible, grad_bytes = self._bytes(configs)
 
         gt = np.array(gt_l, dtype=np.int64)
         gi = np.array(gi_l, dtype=np.int64)
@@ -669,9 +589,6 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
         mbs = np.array(mbs_l, dtype=np.int64)
         m = np.array(m_l, dtype=np.int64)
         mpd = gt * gi
-        memory = np.array(mem_l, dtype=np.int64)
-        feasible = memory <= cal.gpu_memory_bytes
-        grad_bytes = np.array(grad_l, dtype=np.int64)
 
         # -- compute (Eq. 6) ------------------------------------------------
         fwd_per_sample = spec.fwd_flops_per_sample()
@@ -755,7 +672,8 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
         # SAMO's compression gather, one microbatch per data-parallel batch
         overhead = np.array([self._compress_overhead(c, 1) for c in configs])
 
-        raw = self._dp_collective(self._gradient_bytes(configs), n_gpus, columns)
+        memory, feasible, grad_bytes = self._bytes(configs)
+        raw = self._dp_collective(grad_bytes, n_gpus, columns)
         frac = cal.dp_overlap_fraction
         if frac > 0.0:
             hidden = np.minimum(raw * frac, backward[:, None])
@@ -764,7 +682,6 @@ class VectorizedAnalyticEstimator(AnalyticEstimator):
             coll = raw
 
         other = cal.other_fraction * compute
-        memory, feasible = self._memory_arrays(configs)
 
         n_s = len(columns)
 

@@ -42,8 +42,10 @@ from .config import candidate_for_workload
 
 __all__ = [
     "FIG_TEMPLATES",
+    "DRIFT_FIDELITIES",
     "DRIFT_PHASES",
     "DRIFT_TOLERANCES",
+    "fidelity_phases",
     "drift_report",
     "drift_report_json",
     "render_drift_report",
@@ -61,6 +63,8 @@ FIG_TEMPLATES = (
     ("fig8", "gpt3-2.7b", 256, "deepspeed-3d"),
 )
 
+#: fidelities a config is priced under, the scalar reference first
+DRIFT_FIDELITIES = ("analytic", "analytic-batch", "sim", "measured")
 #: phase rows of the drift report (same order as the CLI drift table)
 DRIFT_PHASES = ("compute", "p2p", "bubble", "collective", "other", "total")
 
@@ -83,16 +87,44 @@ DRIFT_TOLERANCES = {
 }
 
 
-def _phase_entry(reference, others: dict) -> dict:
-    entry = {"analytic": reference}
-    for fid, value in others.items():
-        drift = (
-            0.0 if value == reference
-            else abs(value - reference) / max(abs(reference), 1e-300)
-        )
-        entry[fid] = value
-        entry[f"{fid}_rel_drift"] = drift
-    return entry
+def fidelity_phases(
+    spec, config, cal: SummitCalibration = SUMMIT, *, seed: int = 0
+) -> dict:
+    """``config`` priced under every fidelity of :data:`DRIFT_FIDELITIES`.
+
+    ``analytic`` is the scalar reference
+    (:meth:`~repro.autotune.AnalyticEstimator.evaluate`);
+    ``analytic-batch`` goes through the array program's real
+    ``evaluate_batch`` path, ``sim`` through the event engine and
+    ``measured`` through the executed proxy schedule (``seed``). Per
+    phase of :data:`DRIFT_PHASES`: each fidelity's seconds and, for all
+    but the reference, its relative drift from it.
+    """
+    from .estimator import make_estimator
+
+    evals = {
+        "analytic": make_estimator("analytic", spec, cal).evaluate(config),
+        "analytic-batch": (
+            make_estimator("analytic-batch", spec, cal)
+            .evaluate_batch([config])
+            .evaluation(0, 0)
+        ),
+        "sim": make_estimator("sim", spec, cal).evaluate(config),
+        "measured": make_estimator("measured", spec, cal, seed=seed).evaluate(config),
+    }
+    phases = {}
+    for phase in DRIFT_PHASES:
+        reference = getattr(evals["analytic"].breakdown, phase)
+        entry = {"analytic": reference}
+        for fid in DRIFT_FIDELITIES[1:]:
+            value = getattr(evals[fid].breakdown, phase)
+            entry[fid] = value
+            entry[f"{fid}_rel_drift"] = (
+                0.0 if value == reference
+                else abs(value - reference) / max(abs(reference), 1e-300)
+            )
+        phases[phase] = entry
+    return phases
 
 
 def drift_report(
@@ -110,8 +142,6 @@ def drift_report(
     phase, and the calibration-fit recovery block — everything the CLI
     and the bench need to pass or fail a run.
     """
-    from .estimator import make_estimator
-
     if templates is None:
         templates = FIG_TEMPLATES[:1] if quick else FIG_TEMPLATES
     rows = []
@@ -119,28 +149,9 @@ def drift_report(
     for figure, model, n_gpus, framework in templates:
         spec = get_spec(model)
         config = candidate_for_workload(spec, framework, n_gpus, cal=cal)
-        evals = {
-            "analytic": make_estimator("analytic", spec, cal).evaluate(config),
-            "analytic-batch": (
-                make_estimator("analytic-batch", spec, cal)
-                .evaluate_batch([config])
-                .evaluation(0, 0)
-            ),
-            "sim": make_estimator("sim", spec, cal).evaluate(config),
-            "measured": make_estimator("measured", spec, cal, seed=seed)
-            .evaluate(config),
-        }
-        phases = {}
+        phases = fidelity_phases(spec, config, cal, seed=seed)
         worst = {"phase": None, "rel_drift": 0.0}
-        for phase in DRIFT_PHASES:
-            reference = getattr(evals["analytic"].breakdown, phase)
-            entry = _phase_entry(
-                reference,
-                {
-                    fid: getattr(evals[fid].breakdown, phase)
-                    for fid in ("analytic-batch", "sim", "measured")
-                },
-            )
+        for phase, entry in phases.items():
             entry["tolerance"] = DRIFT_TOLERANCES[phase]
             entry["within_tolerance"] = (
                 entry["measured_rel_drift"] <= DRIFT_TOLERANCES[phase]
@@ -155,7 +166,6 @@ def drift_report(
                 worst = {
                     "phase": phase, "rel_drift": entry["measured_rel_drift"]
                 }
-            phases[phase] = entry
         rows.append(
             {
                 "figure": figure,

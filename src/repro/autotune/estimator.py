@@ -221,12 +221,9 @@ class CostEstimator:
     fidelity = "analytic"
     #: whether this estimator can price a degraded-machine scenario
     supports_scenarios = False
-    #: overlap-aware collective pricing (only the event engine can)
-    overlap = False
-    #: replica placement the pipeline is priced at ("block" or "best")
-    placement = "block"
-    #: bucket count of the overlapped data-parallel all-reduce
-    n_buckets = OVERLAP_BUCKETS
+    #: whether the estimator also prices a config grid × scenario set in
+    #: one ``evaluate_batch`` call (the array program does)
+    supports_batch = False
 
     def __init__(
         self,
@@ -247,53 +244,6 @@ class CostEstimator:
 
     def evaluate(self, config: CandidateConfig) -> Evaluation:
         raise NotImplementedError
-
-    #: whether :meth:`evaluate_batch` is vectorized (the base fallback
-    #: just loops :meth:`evaluate`, so planners only reroute when True)
-    supports_batch = False
-
-    def with_scenario(self, scenario) -> "CostEstimator":
-        """This estimator re-bound to ``scenario`` (self when unchanged).
-
-        The batch protocol prices a config × scenario matrix; scalar
-        estimators cover the scenario columns by cloning themselves per
-        column. Subclasses with extra costing knobs override this to
-        carry them across.
-        """
-        if get_scenario(scenario) == self.scenario:
-            return self
-        return type(self)(self.spec, self.cal, scenario=scenario)
-
-    def evaluate_batch(self, configs, scenarios=None) -> "EvaluationBatch":
-        """Cost a config grid × scenario set as one structure-of-arrays.
-
-        ``scenarios=None`` prices the single column of the estimator's
-        own scenario; otherwise each entry (a scenario, preset name, or
-        None) becomes one column, overriding the constructor scenario.
-        This base implementation is the scalar-loop fallback — cell
-        ``(i, j)`` is exactly ``with_scenario(scenarios[j])
-        .evaluate(configs[i])`` — so every registered fidelity answers
-        the batch protocol; vectorized subclasses (``supports_batch =
-        True``) replace the loop with array programs that must match it
-        element-wise.
-        """
-        from .batch import EvaluationBatch  # deferred: batch builds on this module
-
-        configs = tuple(configs)
-        if scenarios is None:
-            columns = (self.scenario,)
-        else:
-            columns = tuple(get_scenario(s) for s in scenarios)
-        grid = []
-        for sc in columns:
-            est = self.with_scenario(sc)
-            grid.append([est.evaluate(c) for c in configs])
-        # grid is column-major (scenario, config); transpose to (i, j)
-        rows = [[grid[j][i] for j in range(len(columns))] for i in range(len(configs))]
-        return EvaluationBatch.from_evaluations(
-            configs, columns, rows, fidelity=self.fidelity,
-            batch_size=self.spec.batch_size,
-        )
 
     # -- shared pieces ------------------------------------------------------
     def _compute_kind(self, config: CandidateConfig) -> str:
@@ -369,75 +319,59 @@ class AnalyticEstimator(CostEstimator):
     """Closed-form Eqs. 6-11 generalised over the search axes.
 
     The reference that the array program pricing ``fidelity="analytic"``
-    (:mod:`repro.autotune.batch`) reproduces bit for bit; the sim and
-    measured estimators build on it.
+    (:mod:`repro.autotune.batch`) reproduces bit for bit. Its
+    :meth:`_cell` is the one assembly of a priced cell: the sim and
+    measured estimators build on it and supply only their own phases.
     """
 
     fidelity = "analytic"
 
     def evaluate(self, config: CandidateConfig) -> Evaluation:
-        spec = self.spec
-        if spec.family == "cnn":
+        if self.spec.family == "cnn":
             return self._evaluate_cnn(config)
-        cal = self.cal
-        m = microbatches_per_gpu(spec.batch_size, config.g_data, config.mbs)
-        pcfg = ParallelConfig(
-            n_gpus=config.g_inter * config.g_data,
-            g_inter=config.g_inter,
-            g_data=config.g_data,
-            mbs=config.mbs,
-            microbatches=m,
-        )
-
-        # -- compute --------------------------------------------------------
+        m = microbatches_per_gpu(self.spec.batch_size, config.g_data, config.mbs)
         t_f, t_b = self._stage_times(config)
-        compute = m * (t_f + t_b)
-        overhead = self._compress_overhead(config, m)
-
-        # -- p2p + bubble ---------------------------------------------------
-        p2p, bubble, trace = self._pipeline_costs(config, m, t_f, t_b)
-
-        # -- collectives ----------------------------------------------------
-        coll = collective_time(
-            spec,
-            config.model_parallel_degree,
-            config.g_data,
-            sparse=config.mode in SPARSE_MODES,
-            sparsity=config.sparsity,
-            cal=cal,
-            scenario=self.scenario,
-        )
-        overlap_notes = {}
-        if self.overlap:
-            # only an asynchronous message-driven schedule can hide the
-            # all-reduce behind its drain; DeepSpeed-3D pipelines
-            # synchronously
-            if trace is not None and config.framework != "deepspeed-3d":
-                # overlap-aware fidelity: the data-parallel all-reduce hides
-                # behind the drain on the event timeline (the tensor-parallel
-                # collectives below stay additive — they sit inside the
-                # microbatch critical path, not after the flush); each
-                # stage rings its actual parameter share of the payload
-                fractions = stage_payload_fractions(
-                    spec, config.g_inter,
-                    getattr(self, "partition_mode", "flops"), self.scenario,
-                )
-                report = overlap_exposed_collective(
-                    trace, coll, self.n_buckets, stage_fractions=fractions
-                )
-                overlap_notes = {
-                    "overlap": True,
-                    "collective_additive": report.additive,
-                    "collective_hidden": report.hidden,
-                }
-                coll = report.exposed
-            else:
-                overlap_notes = {"overlap": False}
+        p2p, bubble, coll, notes = self._phases(config, m, t_f, t_b)
         coll += self._tensor_parallel_collective(config, m)
+        return self._cell(
+            config, m * (t_f + t_b), self._compress_overhead(config, m), coll,
+            p2p, bubble, m, t_f, t_b, **notes,
+        )
 
-        other = cal.other_fraction * compute
+    def _cell(
+        self, config: CandidateConfig, compute: float, overhead: float,
+        coll: float, p2p: float = 0.0, bubble: float = 0.0, m: int = 1,
+        t_f: float = 0.0, t_b: float = 0.0, **notes,
+    ) -> Evaluation:
+        """One priced cell from a fidelity's phases.
+
+        ``compute`` is the compute phase before SAMO's ``overhead``
+        (``other`` scales it, the breakdown reports their sum). Memory
+        (Eqs. 1-5) and feasibility come from the config. A GPT cell's
+        notes are its stage times, overhead, mode, ``G_tensor`` and
+        fidelity label; a CNN cell is one data-parallel batch with no
+        stages, noted by its mode and label. ``notes`` follow either.
+        """
+        spec, cal = self.spec, self.cal
+        if spec.family == "cnn":
+            n_gpus = config.n_gpus
+            pcfg = ParallelConfig(n_gpus, 1, n_gpus, config.mbs, 1)
+            notes = {"mode": config.mode, "fidelity": self.fidelity, **notes}
+        else:
+            pcfg = ParallelConfig(
+                config.g_inter * config.g_data, config.g_inter, config.g_data,
+                config.mbs, m,
+            )
+            notes = {
+                "t_f": t_f,
+                "t_b": t_b,
+                "overhead": overhead,
+                "mode": config.mode,
+                "g_tensor": config.g_tensor,
+                "fidelity": self.fidelity,
+                **notes,
+            }
         mem = candidate_memory_per_gpu(spec, config, cal)
-
         breakdown = BatchBreakdown(
             framework=config.framework,
             model=spec.name,
@@ -446,17 +380,9 @@ class AnalyticEstimator(CostEstimator):
             p2p=p2p,
             bubble=bubble,
             collective=coll,
-            other=other,
+            other=cal.other_fraction * compute,
             memory_per_gpu=mem,
-            notes={
-                "t_f": t_f,
-                "t_b": t_b,
-                "overhead": overhead,
-                "mode": config.mode,
-                "g_tensor": config.g_tensor,
-                "fidelity": self.fidelity,
-                **overlap_notes,
-            },
+            notes=notes,
         )
         return Evaluation(
             config=config,
@@ -490,13 +416,26 @@ class AnalyticEstimator(CostEstimator):
         stage_params = self.spec.param_count / config.model_parallel_degree
         return self.cal.samo_compress_cost_per_param * stage_params * microbatches
 
-    def _pipeline_costs(
+    def _sync_time(self, config: CandidateConfig) -> float:
+        """The data-parallel gradient all-reduce of a pipelined config
+        (Eqs. 10-11), under the estimator's scenario."""
+        return collective_time(
+            self.spec,
+            config.model_parallel_degree,
+            config.g_data,
+            sparse=config.mode in SPARSE_MODES,
+            sparsity=config.sparsity,
+            cal=self.cal,
+            scenario=self.scenario,
+        )
+
+    def _phases(
         self, config: CandidateConfig, m: int, t_f: float, t_b: float
     ) -> tuple:
-        """Returns ``(p2p, bubble, trace)``; the closed form has no
-        schedule trace (``None``), so overlap can never apply to it."""
+        """``(p2p, bubble, data-parallel collective, notes)`` of a
+        pipelined config: Eqs. 9 and 7 and the additive all-reduce."""
         if config.g_inter <= 1:
-            return 0.0, 0.0, None
+            return 0.0, 0.0, self._sync_time(config), {}
         cal = self.cal
         t_msg = self._boundary_message_time(config)
         p2p = transmission_time(
@@ -506,59 +445,39 @@ class AnalyticEstimator(CostEstimator):
         if config.framework == "deepspeed-3d":
             p2p *= cal.deepspeed_p2p_penalty
             bubble *= cal.deepspeed_bubble_penalty
-        return p2p, bubble, None
+        return p2p, bubble, self._sync_time(config), {}
+
+    def _cnn_batch(self, config: CandidateConfig) -> tuple[int, float]:
+        """A CNN's samples per GPU and its conv efficiency at that batch."""
+        spec, cal = self.spec, self.cal
+        if spec.batch_size % config.n_gpus:
+            raise ValueError(
+                f"batch {spec.batch_size} not divisible by {config.n_gpus} GPUs"
+            )
+        samples_per_gpu = spec.batch_size // config.n_gpus
+        hint = spec.efficiency_hint
+        eff_max = hint.get("eff_max", cal.conv_efficiency)
+        half = hint.get("half_batch", cal.conv_half_batch)
+        return samples_per_gpu, eff_max * samples_per_gpu / (samples_per_gpu + half)
 
     def _evaluate_cnn(self, config: CandidateConfig) -> Evaluation:
         """Pure data parallel (the paper's CNN regime, Figure 5)."""
         spec, cal = self.spec, self.cal
-        n_gpus = config.n_gpus
-        if spec.batch_size % n_gpus:
-            raise ValueError(f"batch {spec.batch_size} not divisible by {n_gpus} GPUs")
-        samples_per_gpu = spec.batch_size // n_gpus
-        pcfg = ParallelConfig(
-            n_gpus=n_gpus, g_inter=1, g_data=n_gpus, mbs=config.mbs, microbatches=1
-        )
-        hint = spec.efficiency_hint
-        eff_max = hint.get("eff_max", cal.conv_efficiency)
-        half = hint.get("half_batch", cal.conv_half_batch)
-        eff = eff_max * samples_per_gpu / (samples_per_gpu + half)
+        samples_per_gpu, eff = self._cnn_batch(config)
         fwd = spec.fwd_flops_per_sample()
         compute = 3.0 * fwd * samples_per_gpu / (self.device.peak_flops * eff)
-        backward_compute = compute * 2.0 / 3.0
-        overhead = self._compress_overhead(config, 1)
         coll = collective_time(
             spec,
             1,
-            n_gpus,
+            config.n_gpus,
             sparse=config.mode in SPARSE_MODES,
             sparsity=config.sparsity,
             overlap_with_backward=cal.dp_overlap_fraction,
-            backward_compute_time=backward_compute,
+            backward_compute_time=compute * 2.0 / 3.0,
             cal=cal,
             scenario=self.scenario,
         )
-        other = cal.other_fraction * compute
-        mem = candidate_memory_per_gpu(spec, config, cal)
-        breakdown = BatchBreakdown(
-            framework=config.framework,
-            model=spec.name,
-            config=pcfg,
-            compute=compute + overhead,
-            p2p=0.0,
-            bubble=0.0,
-            collective=coll,
-            other=other,
-            memory_per_gpu=mem,
-            notes={"mode": config.mode, "fidelity": self.fidelity},
-        )
-        return Evaluation(
-            config=config,
-            breakdown=breakdown,
-            memory_bytes=mem,
-            feasible=mem <= cal.gpu_memory_bytes,
-            batch_size=spec.batch_size,
-            fidelity=self.fidelity,
-        )
+        return self._cell(config, compute, self._compress_overhead(config, 1), coll)
 
 
 class SimulatorEstimator(AnalyticEstimator):
@@ -577,7 +496,8 @@ class SimulatorEstimator(AnalyticEstimator):
 
     ``overlap=True`` additionally replaces the additive data-parallel
     collective with its event-timeline exposure
-    (:func:`~repro.parallel.scenarios.overlap_exposed_collective`), and
+    (:func:`~repro.parallel.scenarios.overlap_exposed_collective`, over
+    :data:`~repro.parallel.scenarios.OVERLAP_BUCKETS` buckets), and
     ``placement="best"`` prices every candidate at the optimized replica
     placement (:mod:`repro.parallel.placement`) instead of the block
     layout; both knobs land in the fidelity label so cache keys and
@@ -595,7 +515,6 @@ class SimulatorEstimator(AnalyticEstimator):
         partition_mode: str = "flops",
         overlap: bool = False,
         placement: str = "block",
-        n_buckets: int = OVERLAP_BUCKETS,
     ):
         super().__init__(spec, cal, scenario=scenario)
         if partition_mode not in ("flops", "time"):
@@ -606,12 +525,9 @@ class SimulatorEstimator(AnalyticEstimator):
             raise ValueError(
                 f"unknown placement {placement!r}; choose from {PLACEMENTS}"
             )
-        if n_buckets < 1:
-            raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
         self.partition_mode = partition_mode
         self.overlap = bool(overlap)
         self.placement = placement
-        self.n_buckets = n_buckets
         # the fidelity label carries every costing-relevant knob so cache
         # keys and reports distinguish degraded/rebalanced/overlapped plans
         if self.scenario is not None:
@@ -620,23 +536,10 @@ class SimulatorEstimator(AnalyticEstimator):
             self.fidelity = f"{self.fidelity}+{partition_mode}-balanced"
         if self.overlap:
             self.fidelity = f"{self.fidelity}+overlap"
-            if n_buckets != OVERLAP_BUCKETS:
-                # a different bucket count prices a different exposure;
-                # it must not alias the default's cache entries
-                self.fidelity = f"{self.fidelity}[{n_buckets}]"
         if self.placement != "block":
             self.fidelity = f"{self.fidelity}+{self.placement}-placement"
 
-    def with_scenario(self, scenario) -> "SimulatorEstimator":
-        if get_scenario(scenario) == self.scenario:
-            return self
-        return type(self)(
-            self.spec, self.cal, scenario=scenario,
-            partition_mode=self.partition_mode, overlap=self.overlap,
-            placement=self.placement, n_buckets=self.n_buckets,
-        )
-
-    def _pipeline_costs(
+    def _phases(
         self, config: CandidateConfig, m: int, t_f: float, t_b: float
     ) -> tuple:
         # A degraded machine hits single-stage configs too (data-parallel
@@ -644,7 +547,7 @@ class SimulatorEstimator(AnalyticEstimator):
         # trace even for one stage, so only the knob-free g_inter == 1
         # case short-circuits.
         if config.g_inter <= 1 and self.scenario is None and not self.overlap:
-            return 0.0, 0.0, None
+            return 0.0, 0.0, self._sync_time(config), {}
         blocking = config.framework == "deepspeed-3d"
         trace = simulate_hetero_pipeline(
             self.spec,
@@ -662,7 +565,29 @@ class SimulatorEstimator(AnalyticEstimator):
             placement=self.placement,
         )
         exposed = max(trace.makespan - m * (t_f + t_b), 0.0)
-        return 0.0, exposed, trace
+        coll = self._sync_time(config)
+        if not self.overlap:
+            return 0.0, exposed, coll, {}
+        if blocking:
+            # only an asynchronous message-driven schedule can hide the
+            # all-reduce behind its drain; DeepSpeed-3D pipelines
+            # synchronously
+            return 0.0, exposed, coll, {"overlap": False}
+        # the data-parallel all-reduce hides behind the drain on the event
+        # timeline (the tensor-parallel collectives stay additive — they
+        # sit inside the microbatch critical path, not after the flush);
+        # each stage rings its actual parameter share of the payload
+        fractions = stage_payload_fractions(
+            self.spec, config.g_inter, self.partition_mode, self.scenario
+        )
+        report = overlap_exposed_collective(
+            trace, coll, OVERLAP_BUCKETS, stage_fractions=fractions
+        )
+        return 0.0, exposed, report.exposed, {
+            "overlap": True,
+            "collective_additive": report.additive,
+            "collective_hidden": report.hidden,
+        }
 
 
 # ---------------------------------------------------------------------------

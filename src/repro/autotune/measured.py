@@ -51,20 +51,15 @@ from ..comm.backend import run_parallel
 from ..core.config import SAMOConfig
 from ..models.spec import ModelSpec
 from ..parallel.data_parallel import gradient_bytes_per_gpu
-from ..parallel.perf_model import BatchBreakdown, ParallelConfig, microbatches_per_gpu
+from ..parallel.perf_model import microbatches_per_gpu
 from ..parallel.pipeline_exec import (
     BucketedGradSync,
     PipelineStageTrainer,
     StageModule,
 )
-from ..parallel.scenarios import ClusterScenario
+from ..parallel.scenarios import OVERLAP_BUCKETS, ClusterScenario
 from .config import SPARSE_MODES, CandidateConfig
-from .estimator import (
-    AnalyticEstimator,
-    Evaluation,
-    candidate_memory_per_gpu,
-    register_estimator,
-)
+from .estimator import AnalyticEstimator, Evaluation, register_estimator
 
 __all__ = [
     "MeasuredEstimator",
@@ -419,10 +414,13 @@ class MeasuredEstimator(AnalyticEstimator):
     """Price candidates from executed schedules (see the module docstring).
 
     Inherits the analytic per-op primitives (``_stage_times``,
-    ``_boundary_message_time``, memory model, tensor-parallel
-    collectives) — the measured phases replace the *structural* closed
-    forms (Eqs. 7/9 and the monolithic all-reduce) with the executed
-    schedule's replay. ``seed`` pins the synthetic tensors and the SAMO
+    ``_boundary_message_time``, tensor-parallel collectives) and the
+    cell assembly (``_cell``: memory model, shape, notes) — the measured
+    phases replace the *structural* closed forms (Eqs. 7/9 and the
+    monolithic all-reduce) with the executed schedule's replay, and its
+    notes add ``g_exec``/``m_exec``/``seed``. ``evaluate`` is defined
+    here, not inherited, so the traced launcher wraps each fidelity's
+    own entry point once. ``seed`` pins the synthetic tensors and the SAMO
     masks; a non-default seed lands in the fidelity label so cache keys
     cannot alias runs of different seeds. Execution profiles are
     memoized per executable shape, so planning a whole search space
@@ -446,14 +444,6 @@ class MeasuredEstimator(AnalyticEstimator):
         self._profiles: dict = {}
         self._profiles_lock = threading.Lock()
 
-    def with_scenario(self, scenario) -> "MeasuredEstimator":
-        from ..parallel.scenarios import get_scenario
-
-        if get_scenario(scenario) == self.scenario:
-            return self
-        # non-None scenarios are rejected by the base constructor
-        return type(self)(self.spec, self.cal, scenario=scenario, seed=self.seed)
-
     # -- profile memoisation ------------------------------------------------
     def _pipeline_profile(
         self, g_exec: int, m_exec: int, samo: bool, checkpoint: bool
@@ -470,12 +460,12 @@ class MeasuredEstimator(AnalyticEstimator):
         return prof
 
     def _collective_profile(self, dp_exec: int, samo: bool) -> CollectiveProfile:
-        key = ("coll", dp_exec, samo, self.n_buckets)
+        key = ("coll", dp_exec, samo)
         with self._profiles_lock:
             prof = self._profiles.get(key)
         if prof is None:
             prof = execute_grad_sync(
-                dp_exec, samo=samo, n_buckets=self.n_buckets, seed=self.seed
+                dp_exec, samo=samo, n_buckets=OVERLAP_BUCKETS, seed=self.seed
             )
             with self._profiles_lock:
                 prof = self._profiles.setdefault(key, prof)
@@ -485,8 +475,8 @@ class MeasuredEstimator(AnalyticEstimator):
     def evaluate(self, config: CandidateConfig) -> Evaluation:
         if self.spec.family == "cnn":
             return self._evaluate_cnn(config)
-        spec, cal = self.spec, self.cal
-        m = microbatches_per_gpu(spec.batch_size, config.g_data, config.mbs)
+        cal = self.cal
+        m = microbatches_per_gpu(self.spec.batch_size, config.g_data, config.mbs)
         t_f, t_b = self._stage_times(config)
         samo_exec = config.mode.value == "samo"
         g = config.g_inter
@@ -517,49 +507,11 @@ class MeasuredEstimator(AnalyticEstimator):
         compute = (
             max(prof.fwd_counts) * t_f + max(prof.bwd_counts) * t_b
         ) * scale_m
-        overhead = self._compress_overhead(config, m)
-
         coll = self._measured_collective(config)
         coll += self._tensor_parallel_collective(config, m)
-
-        other = cal.other_fraction * compute
-        mem = candidate_memory_per_gpu(spec, config, cal)
-        pcfg = ParallelConfig(
-            n_gpus=config.g_inter * config.g_data,
-            g_inter=config.g_inter,
-            g_data=config.g_data,
-            mbs=config.mbs,
-            microbatches=m,
-        )
-        breakdown = BatchBreakdown(
-            framework=config.framework,
-            model=spec.name,
-            config=pcfg,
-            compute=compute + overhead,
-            p2p=p2p,
-            bubble=bubble,
-            collective=coll,
-            other=other,
-            memory_per_gpu=mem,
-            notes={
-                "t_f": t_f,
-                "t_b": t_b,
-                "overhead": overhead,
-                "mode": config.mode,
-                "g_tensor": config.g_tensor,
-                "fidelity": self.fidelity,
-                "g_exec": g_exec,
-                "m_exec": m_exec,
-                "seed": self.seed,
-            },
-        )
-        return Evaluation(
-            config=config,
-            breakdown=breakdown,
-            memory_bytes=mem,
-            feasible=mem <= cal.gpu_memory_bytes,
-            batch_size=spec.batch_size,
-            fidelity=self.fidelity,
+        return self._cell(
+            config, compute, self._compress_overhead(config, m), coll,
+            p2p, bubble, m, t_f, t_b, g_exec=g_exec, m_exec=m_exec, seed=self.seed,
         )
 
     def _measured_collective(self, config: CandidateConfig) -> float:
@@ -592,53 +544,20 @@ class MeasuredEstimator(AnalyticEstimator):
         """CNNs run pure data parallel: execute one local step plus the
         bucketed sync; compute units come from the conv efficiency curve
         (the analytic path's per-op primitive)."""
-        spec, cal = self.spec, self.cal
-        n_gpus = config.n_gpus
-        if spec.batch_size % n_gpus:
-            raise ValueError(f"batch {spec.batch_size} not divisible by {n_gpus} GPUs")
-        samples_per_gpu = spec.batch_size // n_gpus
-        hint = spec.efficiency_hint
-        eff_max = hint.get("eff_max", cal.conv_efficiency)
-        half = hint.get("half_batch", cal.conv_half_batch)
-        eff = eff_max * samples_per_gpu / (samples_per_gpu + half)
-        unit_f = spec.fwd_flops_per_sample() * samples_per_gpu / (
+        samples_per_gpu, eff = self._cnn_batch(config)
+        unit_f = self.spec.fwd_flops_per_sample() * samples_per_gpu / (
             self.device.peak_flops * eff
         )
-        samo_exec = config.mode.value == "samo"
-        prof = self._pipeline_profile(1, 1, samo_exec, False)
+        prof = self._pipeline_profile(1, 1, config.mode.value == "samo", False)
         compute = max(prof.fwd_counts) * unit_f + max(prof.bwd_counts) * 2.0 * unit_f
         backward_compute = max(prof.bwd_counts) * 2.0 * unit_f
-        overhead = self._compress_overhead(config, 1)
-        if n_gpus > 1:
+        coll = 0.0
+        if config.n_gpus > 1:
             raw = self._measured_collective(config)
-            hidden = min(raw * cal.dp_overlap_fraction, backward_compute)
+            hidden = min(raw * self.cal.dp_overlap_fraction, backward_compute)
             coll = max(raw - hidden, 0.0)
-        else:
-            coll = 0.0
-        other = cal.other_fraction * compute
-        mem = candidate_memory_per_gpu(spec, config, cal)
-        pcfg = ParallelConfig(
-            n_gpus=n_gpus, g_inter=1, g_data=n_gpus, mbs=config.mbs, microbatches=1
-        )
-        breakdown = BatchBreakdown(
-            framework=config.framework,
-            model=spec.name,
-            config=pcfg,
-            compute=compute + overhead,
-            p2p=0.0,
-            bubble=0.0,
-            collective=coll,
-            other=other,
-            memory_per_gpu=mem,
-            notes={"mode": config.mode, "fidelity": self.fidelity, "seed": self.seed},
-        )
-        return Evaluation(
-            config=config,
-            breakdown=breakdown,
-            memory_bytes=mem,
-            feasible=mem <= cal.gpu_memory_bytes,
-            batch_size=spec.batch_size,
-            fidelity=self.fidelity,
+        return self._cell(
+            config, compute, self._compress_overhead(config, 1), coll, seed=self.seed
         )
 
 

@@ -298,48 +298,17 @@ def run_plan(args) -> str:
     return report
 
 
-#: phase rows of the --compare-fidelities drift table
-_DRIFT_PHASES = ("compute", "p2p", "bubble", "collective", "other", "total")
-
-
 def _fidelity_drift(session, model: str, result) -> dict:
-    """Price the plan winner under every fidelity, keyed per phase.
-
-    ``analytic`` is the scalar reference
-    (:meth:`~repro.autotune.AnalyticEstimator.evaluate`);
-    ``analytic-batch`` goes through
-    :meth:`~repro.autotune.CostEstimator.evaluate_batch`, auditing the
-    array program that prices both closed-form fidelities in a plan;
-    ``sim`` through the event engine, and ``measured`` through the
-    executed proxy schedule. Values are seconds; drifts are relative to
-    the analytic row.
-    """
-    from .autotune import make_estimator
+    """The plan winner priced under every fidelity, keyed per phase
+    (:func:`~repro.autotune.drift.fidelity_phases`)."""
+    from .autotune.drift import fidelity_phases
     from .models import get_spec
 
-    spec = get_spec(model)
     best = result.best.config
-    cal = session.machine.cal
-    breakdowns = {}
-    breakdowns["analytic"] = make_estimator("analytic", spec, cal).evaluate(best)
-    breakdowns["analytic-batch"] = (
-        make_estimator("analytic-batch", spec, cal)
-        .evaluate_batch([best])
-        .evaluation(0, 0)
-    )
-    breakdowns["sim"] = make_estimator("sim", spec, cal).evaluate(best)
-    breakdowns["measured"] = make_estimator("measured", spec, cal).evaluate(best)
-    doc: dict = {"config": list(best.canonical_key()), "phases": {}}
-    for phase in _DRIFT_PHASES:
-        ref = getattr(breakdowns["analytic"].breakdown, phase)
-        entry = {"analytic": ref}
-        for fid in ("analytic-batch", "sim", "measured"):
-            v = getattr(breakdowns[fid].breakdown, phase)
-            drift = 0.0 if v == ref else abs(v - ref) / max(abs(ref), 1e-300)
-            entry[fid] = v
-            entry[f"{fid}_rel_drift"] = drift
-        doc["phases"][phase] = entry
-    return doc
+    return {
+        "config": list(best.canonical_key()),
+        "phases": fidelity_phases(get_spec(model), best, session.machine.cal),
+    }
 
 
 def _fidelity_drift_table(session, model: str, result) -> str:
@@ -347,8 +316,7 @@ def _fidelity_drift_table(session, model: str, result) -> str:
 
     doc = _fidelity_drift(session, model, result)
     rows = []
-    for phase in _DRIFT_PHASES:
-        e = doc["phases"][phase]
+    for phase, e in doc["phases"].items():
         rows.append(
             {
                 "phase": phase,

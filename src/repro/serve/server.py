@@ -507,9 +507,17 @@ def make_http_server(
             self._respond(code, encode_response(obj).encode(), "application/json")
 
         def do_POST(self):  # noqa: N802 — BaseHTTPRequestHandler contract
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self.headers.get("Content-Length") or "0"
+            if not (length.isascii() and length.isdigit()):
+                # where the body ends is unknown: answer, then hang up
+                self.close_connection = True
+                self._json(400, server._error(
+                    None, PARSE_ERROR,
+                    f"Content-Length must be a non-negative integer, got {length!r}",
+                ))
+                return
             try:
-                payload = json.loads(self.rfile.read(length) or b"")
+                payload = json.loads(self.rfile.read(int(length)) or b"")
             except ValueError as err:
                 self._json(
                     400, server._error(None, PARSE_ERROR, f"invalid JSON: {err}")

@@ -126,19 +126,6 @@ class TestElementWiseParity:
             assert cell.feasible == ev.feasible
             assert cell.batch_size == ev.batch_size
 
-    def test_scalar_fallback_matches_evaluate(self, xl_space):
-        """The base-class evaluate_batch (scalar loop) answers the same
-        protocol: cell (i, 0) is exactly evaluate(configs[i])."""
-        spec, configs = xl_space
-        est = AnalyticEstimator(spec)
-        assert not est.supports_batch
-        batch = est.evaluate_batch(configs[:8])
-        assert batch.n_configs == 8 and batch.n_scenarios == 1
-        for i, config in enumerate(configs[:8]):
-            ev = est.evaluate(config)
-            assert batch.evaluation(i, 0).breakdown.total == ev.breakdown.total
-            assert float(batch.total[i, 0]) == ev.breakdown.total
-
     def test_divisibility_error(self):
         """gpt3-xl's batch of 512 does not split across G_data=3."""
         spec = get_spec("gpt3-xl")

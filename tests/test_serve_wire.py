@@ -30,7 +30,7 @@ from repro.serve import (
     make_http_server,
     serve_stdio,
 )
-from repro.serve.server import INTERNAL_ERROR, INVALID_PARAMS
+from repro.serve.server import INTERNAL_ERROR, INVALID_PARAMS, PARSE_ERROR
 from repro.stochastic import MCRobustResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -315,3 +315,35 @@ class TestTransports:
         reference = server.session.plan(Job(**JOB)).to_dict()
         reference.pop("stats")
         assert answer["result"] == reference
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_http_refuses_a_content_length_that_is_not_a_count(self, length):
+        """Answered with HTTP 400 and a JSON-RPC parse error, then the
+        connection closes; before, -1 read until the client hung up and
+        abc dropped the connection unanswered. The socket timeout keeps
+        a handler that never answers from hanging the test."""
+        import socket
+
+        server = PlanningServer()
+        httpd = make_http_server(server, port=0)
+        thread = threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            with socket.create_connection(httpd.server_address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST / HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(body)["error"]
+        assert error["code"] == PARSE_ERROR and repr(length) in error["message"]
