@@ -434,8 +434,9 @@ class AnalyticEstimator(CostEstimator):
     ) -> tuple:
         """``(p2p, bubble, data-parallel collective, notes)`` of a
         pipelined config: Eqs. 9 and 7 and the additive all-reduce."""
+        coll = self._sync_time(config)
         if config.g_inter <= 1:
-            return 0.0, 0.0, self._sync_time(config), {}
+            return 0.0, 0.0, coll, {}
         cal = self.cal
         t_msg = self._boundary_message_time(config)
         p2p = transmission_time(
@@ -445,7 +446,7 @@ class AnalyticEstimator(CostEstimator):
         if config.framework == "deepspeed-3d":
             p2p *= cal.deepspeed_p2p_penalty
             bubble *= cal.deepspeed_bubble_penalty
-        return p2p, bubble, self._sync_time(config), {}
+        return p2p, bubble, coll, {}
 
     def _cnn_batch(self, config: CandidateConfig) -> tuple[int, float]:
         """A CNN's samples per GPU and its conv efficiency at that batch."""
