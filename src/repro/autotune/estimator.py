@@ -417,7 +417,7 @@ class AnalyticEstimator(CostEstimator):
         return self.cal.samo_compress_cost_per_param * stage_params * microbatches
 
     def _sync_time(self, config: CandidateConfig) -> float:
-        """The data-parallel gradient all-reduce of a pipelined config
+        """The data-parallel gradient all-reduce of a GPT config
         (Eqs. 10-11), under the estimator's scenario."""
         return collective_time(
             self.spec,
@@ -432,8 +432,8 @@ class AnalyticEstimator(CostEstimator):
     def _phases(
         self, config: CandidateConfig, m: int, t_f: float, t_b: float
     ) -> tuple:
-        """``(p2p, bubble, data-parallel collective, notes)`` of a
-        pipelined config: Eqs. 9 and 7 and the additive all-reduce."""
+        """``(p2p, bubble, data-parallel collective, notes)`` of a GPT
+        config: Eqs. 9 and 7 and the additive all-reduce."""
         coll = self._sync_time(config)
         if config.g_inter <= 1:
             return 0.0, 0.0, coll, {}
@@ -547,8 +547,9 @@ class SimulatorEstimator(AnalyticEstimator):
         # sync waits for the slow replica) and overlap needs the schedule
         # trace even for one stage, so only the knob-free g_inter == 1
         # case short-circuits.
+        coll = self._sync_time(config)
         if config.g_inter <= 1 and self.scenario is None and not self.overlap:
-            return 0.0, 0.0, self._sync_time(config), {}
+            return 0.0, 0.0, coll, {}
         blocking = config.framework == "deepspeed-3d"
         trace = simulate_hetero_pipeline(
             self.spec,
@@ -566,7 +567,6 @@ class SimulatorEstimator(AnalyticEstimator):
             placement=self.placement,
         )
         exposed = max(trace.makespan - m * (t_f + t_b), 0.0)
-        coll = self._sync_time(config)
         if not self.overlap:
             return 0.0, exposed, coll, {}
         if blocking:

@@ -507,7 +507,7 @@ def make_http_server(
             self._respond(code, encode_response(obj).encode(), "application/json")
 
         def do_POST(self):  # noqa: N802 — BaseHTTPRequestHandler contract
-            length = self.headers.get("Content-Length") or "0"
+            length = (self.headers.get("Content-Length") or "0").strip()
             if not (length.isascii() and length.isdigit()):
                 # where the body ends is unknown: answer, then hang up
                 self.close_connection = True

@@ -319,9 +319,10 @@ class TestTransports:
     @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
     def test_http_refuses_a_content_length_that_is_not_a_count(self, length):
         """Answered with HTTP 400 and a JSON-RPC parse error, then the
-        connection closes; before, -1 read until the client hung up and
-        abc dropped the connection unanswered. The socket timeout keeps
-        a handler that never answers from hanging the test."""
+        connection closes. Read as a count, -1 would hold the handler
+        until the client hangs up and abc would drop the connection
+        unanswered; the socket timeout keeps such a handler from
+        hanging the test."""
         import socket
 
         server = PlanningServer()
